@@ -405,12 +405,12 @@ func (c *Client) state() (*clientState, error) {
 	for {
 		// A state at least as new as the query's admission epoch is a
 		// valid consistent view (read-your-writes holds; a refresher
-		// may legitimately have moved past `want`). A state *ahead* of
-		// the store's current epoch is the one exception: the store was
-		// rewound by a failover resync (AdoptBase discarding a fenced
-		// suffix), so the derived state belongs to the dead lineage and
-		// must be rebuilt.
-		if c.st != nil && c.st.snap.Epoch() >= want && c.st.snap.Epoch() <= c.store.Epoch() {
+		// may legitimately have moved past `want`) — if it belongs to
+		// the store's current lineage. A base adoption (a follower's
+		// bootstrap, or a failover resync rewinding a fenced store)
+		// replaces the state at an epoch that may equal or trail the
+		// derived state's, which must then be rebuilt.
+		if c.st != nil && c.st.snap.Epoch() >= want && c.st.snap.Adoptions() == c.store.Snapshot().Adoptions() {
 			st := c.st
 			c.mu.Unlock()
 			return st, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -141,5 +142,111 @@ func TestClientFailover(t *testing.T) {
 
 	if ri, err := repl.FetchRole(context.Background(), nil, bts.URL); err != nil || ri.Role != "leader" || ri.Term != 1 {
 		t.Fatalf("survivor role: %+v, %v", ri, err)
+	}
+}
+
+// TestIndexedFollowingClientAfterBootstrap pins index maintenance
+// across a follower's bootstrap: the indexed client builds its covers
+// over the empty pre-bootstrap graph at epoch 0, then adopts the
+// leader's base at that same epoch 0 and tails one mutation past it.
+// The epoch-0 covers belong to the discarded empty lineage; repairing
+// them across the adoption used to index past their (empty) labels and
+// panic. They must be rebuilt, and the team must match an unindexed
+// follower's.
+func TestIndexedFollowingClientAfterBootstrap(t *testing.T) {
+	as, err := server.New(server.Config{Graph: liveBase(t), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer as.Close()
+	ats := httptest.NewServer(as.Handler())
+	defer ats.Close()
+
+	fwd, err := authteam.New(nil, authteam.Options{Follow: ats.URL, FollowWait: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+	if err := fwd.AddCollaboration(0, 2, 0.6); err != nil {
+		t.Fatal(err)
+	}
+
+	skills := []string{"databases", "ml"}
+	var want []*authteam.Team
+	for _, buildIndex := range []bool{false, true} {
+		c, err := authteam.New(nil, authteam.Options{Follow: ats.URL, BuildIndex: buildIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		ok := c.WaitEpoch(ctx, 1)
+		cancel()
+		if !ok {
+			c.Close()
+			t.Fatalf("BuildIndex=%v: follower stuck at epoch %d", buildIndex, c.Epoch())
+		}
+		teams, err := c.TopK(authteam.SACACC, skills, 2)
+		c.Close()
+		if err != nil {
+			t.Fatalf("BuildIndex=%v: %v", buildIndex, err)
+		}
+		if !buildIndex {
+			want = teams
+			continue
+		}
+		if !reflect.DeepEqual(teams, want) {
+			t.Fatalf("indexed follower teams %+v, unindexed %+v", teams, want)
+		}
+	}
+}
+
+// TestFollowingClientServesAdoptedBaseAtEpochZero pins the client's
+// derived-state cache across a bootstrap that lands on the same epoch:
+// the leader never wrote, so the follower adopts its base at epoch 0,
+// the epoch of the empty pre-bootstrap graph the client first derived
+// its state from. Comparing epochs alone, that empty state looked
+// current and every query failed with an unknown skill. Queries must
+// see the adopted graph, exactly as a client built over it does.
+func TestFollowingClientServesAdoptedBaseAtEpochZero(t *testing.T) {
+	as, err := server.New(server.Config{Graph: liveBase(t), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer as.Close()
+	ats := httptest.NewServer(as.Handler())
+	defer ats.Close()
+
+	local, err := authteam.New(liveBase(t), authteam.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	skills := []string{"databases", "ml"}
+	want, err := local.TopK(authteam.SACACC, skills, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, buildIndex := range []bool{false, true} {
+		c, err := authteam.New(nil, authteam.Options{Follow: ats.URL, BuildIndex: buildIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for fs, _ := c.FollowerStats(); fs.BaseFetches == 0; fs, _ = c.FollowerStats() {
+			if time.Now().After(deadline) {
+				c.Close()
+				t.Fatalf("BuildIndex=%v: no base adopted (%+v)", buildIndex, fs)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		teams, err := c.TopK(authteam.SACACC, skills, 2)
+		c.Close()
+		if err != nil {
+			t.Fatalf("BuildIndex=%v: %v", buildIndex, err)
+		}
+		if !reflect.DeepEqual(teams, want) {
+			t.Fatalf("BuildIndex=%v: follower teams %+v, local %+v", buildIndex, teams, want)
+		}
 	}
 }

@@ -13,10 +13,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"authteam/internal/expertgraph"
@@ -184,6 +186,21 @@ type candidate struct {
 	assign []expertgraph.NodeID
 }
 
+// rankedTeam is a reconstructed team with the greedy cost its root
+// scored in the scan. TopK ranks by (cost, root), so carrying the cost
+// lets TopKParallel merge shard results in exactly the sequential
+// order without re-scoring them.
+type rankedTeam struct {
+	team *team.Team
+	cost float64
+}
+
+// byCostRoot orders Algorithm 1's candidates: greedy cost ascending,
+// ties broken by root ID so the order is deterministic.
+func byCostRoot(ca float64, ra expertgraph.NodeID, cb float64, rb expertgraph.NodeID) int {
+	return cmp.Or(cmp.Compare(ca, cb), cmp.Compare(ra, rb))
+}
+
 // BestTeam returns the lowest-cost team for the project, or ErrNoTeam
 // if no root reaches a holder of every skill.
 func (d *Discoverer) BestTeam(project []expertgraph.SkillID) (*team.Team, error) {
@@ -200,6 +217,19 @@ func (d *Discoverer) BestTeam(project []expertgraph.SkillID) (*team.Team, error)
 // useful if its entries differ. Fewer than k teams are returned only
 // when the candidate space is exhausted.
 func (d *Discoverer) TopK(project []expertgraph.SkillID, k int) ([]*team.Team, error) {
+	ranked, err := d.topK(project, k)
+	if err != nil {
+		return nil, err
+	}
+	teams := make([]*team.Team, len(ranked))
+	for i, r := range ranked {
+		teams[i] = r.team
+	}
+	return teams, nil
+}
+
+// topK is TopK keeping each team's greedy cost.
+func (d *Discoverer) topK(project []expertgraph.SkillID, k int) ([]rankedTeam, error) {
 	if k <= 0 {
 		return nil, ErrBadK
 	}
@@ -228,23 +258,21 @@ func (d *Discoverer) TopK(project []expertgraph.SkillID, k int) ([]*team.Team, e
 		}
 	}
 
+	// One probe per scan: a PLL oracle's probe decodes each holder's
+	// label once for all roots.
+	probe := oracle.NewProbe(d.dist)
 	var cands []candidate
 	for _, root := range roots {
-		if c, ok := d.evalRoot(root, project, experts); ok {
+		if c, ok := d.evalRoot(probe, root, project, experts); ok {
 			cands = append(cands, c)
 		}
 	}
 	if len(cands) == 0 {
 		return nil, ErrNoTeam
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].root < cands[j].root // deterministic tie-break
-	})
+	slices.SortFunc(cands, func(a, b candidate) int { return byCostRoot(a.cost, a.root, b.cost, b.root) })
 
-	teams := make([]*team.Team, 0, k)
+	teams := make([]rankedTeam, 0, k)
 	seen := make(map[string]bool)
 	for _, c := range cands {
 		t, err := d.reconstruct(c, project)
@@ -258,7 +286,7 @@ func (d *Discoverer) TopK(project []expertgraph.SkillID, k int) ([]*team.Team, e
 			continue
 		}
 		seen[sig] = true
-		teams = append(teams, t)
+		teams = append(teams, rankedTeam{team: t, cost: c.cost})
 		if len(teams) == k {
 			break
 		}
@@ -267,10 +295,13 @@ func (d *Discoverer) TopK(project []expertgraph.SkillID, k int) ([]*team.Team, e
 }
 
 // evalRoot runs lines 8–13 of Algorithm 1 for one root: pick the
-// cheapest holder of each skill and accumulate the surrogate cost.
-func (d *Discoverer) evalRoot(root expertgraph.NodeID,
+// cheapest holder of each skill and accumulate the surrogate cost. The
+// root is loaded into the probe once; every holder distance is then
+// asked from it.
+func (d *Discoverer) evalRoot(probe oracle.Probe, root expertgraph.NodeID,
 	project []expertgraph.SkillID, experts [][]expertgraph.NodeID) (candidate, bool) {
 
+	probe.Source(root)
 	c := candidate{root: root, assign: make([]expertgraph.NodeID, len(project))}
 	for i, s := range project {
 		if d.g.HasSkill(root, s) {
@@ -281,7 +312,7 @@ func (d *Discoverer) evalRoot(root expertgraph.NodeID,
 		best := expertgraph.NodeID(-1)
 		bestCost := expertgraph.Infinity()
 		for _, v := range experts[i] {
-			dist := d.dist.Dist(root, v)
+			dist := probe.To(v)
 			if math.IsInf(dist, 1) {
 				continue
 			}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"authteam/internal/expertgraph"
@@ -13,11 +13,16 @@ import (
 // Parallel discovery. Algorithm 1's root loop is embarrassingly
 // parallel: every root's greedy evaluation is independent, and the
 // 2-hop cover index is safe for concurrent readers. TopKParallel
-// shards the roots over workers, each with its own Discoverer (the
-// path-reconstruction workspace is per-goroutine state), then merges
-// the per-shard candidate lists. Results are identical to the
-// sequential TopK — merging preserves the (cost, root) total order and
-// the same deduplication applies.
+// shards the roots over workers, each with its own Discoverer (its
+// distance probe and path-reconstruction workspace are per-goroutine
+// state), then merges the per-shard top-k lists. Each shard's teams
+// carry the greedy cost their root scored, so the merge orders the
+// pool by the same (cost, root) key the sequential scan sorts by, and
+// applies the same deduplication: the result equals TopK with the same
+// oracle. A team in the sequential top k is preceded, within its own
+// shard, by no more distinct teams than globally, so its shard returns
+// it; any other pooled team either ranks below the k-th or repeats an
+// earlier one.
 
 // TopKParallel runs TopK with the root scan sharded over workers
 // goroutines (values < 2 fall back to the sequential path). The dist
@@ -32,7 +37,7 @@ func TopKParallel(p *transform.Params, m Method, project []expertgraph.SkillID,
 // TopKParallelStaged is TopKParallel with a stage hook for pipeline
 // tracing: when lap is non-nil it is invoked at the two phase
 // boundaries — "search" once the sharded root scan has joined, and
-// "merge" once the candidate pool has been re-ranked and deduplicated.
+// "merge" once the shard results have been ranked and deduplicated.
 // The hook runs on the calling goroutine.
 func TopKParallelStaged(p *transform.Params, m Method, project []expertgraph.SkillID,
 	k, workers int, dist oracle.Oracle, lap func(stage string)) ([]*team.Team, error) {
@@ -44,11 +49,7 @@ func TopKParallelStaged(p *transform.Params, m Method, project []expertgraph.Ski
 		return nil, ErrEmptyProject
 	}
 	newDiscoverer := func(roots []expertgraph.NodeID) *Discoverer {
-		opts := []Option{WithRoots(roots)}
-		if dist != nil {
-			opts = append(opts, WithOracle(dist))
-		}
-		return NewDiscoverer(p, m, opts...)
+		return NewDiscoverer(p, m, WithRoots(roots), WithOracle(dist))
 	}
 	g := p.Graph()
 	n := g.NumNodes()
@@ -77,7 +78,7 @@ func TopKParallelStaged(p *transform.Params, m Method, project []expertgraph.Ski
 	}
 
 	type shardOut struct {
-		teams []*team.Team
+		teams []rankedTeam
 		err   error
 	}
 	outs := make([]shardOut, workers)
@@ -89,7 +90,7 @@ func TopKParallelStaged(p *transform.Params, m Method, project []expertgraph.Ski
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			teams, err := newDiscoverer(shards[w]).TopK(project, k)
+			teams, err := newDiscoverer(shards[w]).topK(project, k)
 			outs[w] = shardOut{teams: teams, err: err}
 		}(w)
 	}
@@ -98,12 +99,7 @@ func TopKParallelStaged(p *transform.Params, m Method, project []expertgraph.Ski
 		lap("search")
 	}
 
-	// Merge: collect per-shard winners with their surrogate-order
-	// proxy. Each shard's TopK is sorted by greedy cost; re-scoring
-	// merged teams by evaluated objective would change semantics, so
-	// the merge re-ranks by the same greedy cost, recomputed from the
-	// shard order via a stable global sort on (cost-rank, root).
-	var pool []*team.Team
+	var pool []rankedTeam
 	anySuccess := false
 	var firstErr error
 	for _, out := range outs {
@@ -120,27 +116,18 @@ func TopKParallelStaged(p *transform.Params, m Method, project []expertgraph.Ski
 	if !anySuccess {
 		return nil, firstErr
 	}
-	costs := surrogateCosts(p, m, pool, project)
-	order := make([]int, len(pool))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if costs[i] != costs[j] {
-			return costs[i] < costs[j]
-		}
-		return pool[i].Root < pool[j].Root
+	slices.SortFunc(pool, func(a, b rankedTeam) int {
+		return byCostRoot(a.cost, a.team.Root, b.cost, b.team.Root)
 	})
 	seen := make(map[string]bool)
 	merged := make([]*team.Team, 0, k)
-	for _, i := range order {
-		sig := signature(pool[i])
+	for _, r := range pool {
+		sig := signature(r.team)
 		if seen[sig] {
 			continue
 		}
 		seen[sig] = true
-		merged = append(merged, pool[i])
+		merged = append(merged, r.team)
 		if len(merged) == k {
 			break
 		}
@@ -149,47 +136,4 @@ func TopKParallelStaged(p *transform.Params, m Method, project []expertgraph.Ski
 		lap("merge")
 	}
 	return merged, nil
-}
-
-// surrogateCosts recomputes the greedy surrogate cost of each
-// reconstructed team for merge ordering: the sum over skills of the
-// holder cost at the team's root, using exact (Dijkstra) distances
-// over the method's search weights. One workspace is allocated for
-// the whole pool and teams are grouped by root so each distinct
-// (root, method) pays a single SSSP — the pool holds up to workers·k
-// teams, and running a fresh full Dijkstra per team made the merge
-// cost O(workers·k) SSSPs plus as many workspace allocations.
-func surrogateCosts(p *transform.Params, m Method, pool []*team.Team,
-	project []expertgraph.SkillID) []float64 {
-
-	g := p.Graph()
-	byRoot := make(map[expertgraph.NodeID][]int, len(pool))
-	for i, tm := range pool {
-		byRoot[tm.Root] = append(byRoot[tm.Root], i)
-	}
-	ws := expertgraph.NewDijkstraWorkspace(g)
-	d := Discoverer{params: p, method: m, g: g}
-	costs := make([]float64, len(pool))
-	for root, members := range byRoot {
-		var sssp *expertgraph.SSSP
-		if m == CC {
-			sssp = ws.Run(root)
-		} else {
-			sssp = ws.RunWeighted(root, p.EdgeWeight())
-		}
-		for _, i := range members {
-			tm := pool[i]
-			cost := 0.0
-			for _, s := range project {
-				holder := tm.Assignment[s]
-				if holder == root && g.HasSkill(root, s) {
-					cost += d.rootHolderCost(root)
-					continue
-				}
-				cost += d.holderCost(sssp.Dist[holder], holder)
-			}
-			costs[i] = cost
-		}
-	}
-	return costs
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"authteam/internal/expertgraph"
@@ -10,40 +13,109 @@ import (
 	"authteam/internal/team"
 )
 
+// quantizedWeights returns g with every edge weight rounded up to a
+// multiple of 1/4: many equal path costs, so the (cost, root) ranking
+// leans on its root tie-break.
+func quantizedWeights(t *testing.T, g *expertgraph.Graph) *expertgraph.Graph {
+	t.Helper()
+	b := g.Thaw(0, 0)
+	for u := 0; u < g.NumNodes(); u++ {
+		g.Neighbors(expertgraph.NodeID(u), func(v expertgraph.NodeID, w float64) bool {
+			if expertgraph.NodeID(u) < v {
+				b.UpdateEdge(expertgraph.NodeID(u), v, math.Ceil(4*w)/4)
+			}
+			return true
+		})
+	}
+	q, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// sameTeams fails unless got and want are the same teams in the same
+// order: same root, node list, edges and skill assignment.
+func sameTeams(t *testing.T, label string, got, want []*team.Team) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d teams, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Root != w.Root || !reflect.DeepEqual(g.Nodes, w.Nodes) || !reflect.DeepEqual(g.Assignment, w.Assignment) {
+			t.Fatalf("%s team %d: root %d nodes %v assign %v, want root %d nodes %v assign %v",
+				label, i, g.Root, g.Nodes, g.Assignment, w.Root, w.Nodes, w.Assignment)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s team %d: %+v, want %+v", label, i, g, w)
+		}
+	}
+}
+
+// TestTopKParallelMatchesSequential pins the merge by carried cost:
+// at any worker count, with a shared PLL oracle or per-shard Dijkstra,
+// TopKParallel returns exactly TopK's teams in TopK's order.
 func TestTopKParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	for trial := 0; trial < 5; trial++ {
+	for trial := 0; trial < 6; trial++ {
 		g, project := randomSkillGraph(rng, 60, 100, 3, 3)
+		if trial%2 == 1 {
+			g = quantizedWeights(t, g)
+		}
 		p := fitOrDie(t, g, 0.6, 0.6)
-		idx := oracle.BuildPLL(g, p.EdgeWeight())
+		raw := oracle.BuildPLL(g, nil)
+		gp := oracle.BuildPLL(g, p.EdgeWeight())
 		for _, m := range []Method{CC, CACC, SACACC} {
-			var shared oracle.Oracle
-			if m != CC {
-				shared = idx
+			idx := gp
+			if m == CC {
+				idx = raw
 			}
-			var opts []Option
-			if shared != nil {
-				opts = append(opts, WithOracle(shared))
+			for _, shared := range []oracle.Oracle{idx, nil} {
+				seq, err1 := NewDiscoverer(p, m, WithOracle(shared)).TopK(project, 4)
+				for workers := 2; workers <= 4; workers++ {
+					label := fmt.Sprintf("trial %d %v pll=%v workers=%d", trial, m, shared != nil, workers)
+					par, err2 := TopKParallel(p, m, project, 4, workers, shared)
+					if (err1 == nil) != (err2 == nil) {
+						t.Fatalf("%s: error mismatch %v vs %v", label, err1, err2)
+					}
+					sameTeams(t, label, par, seq)
+				}
 			}
-			seq, err1 := NewDiscoverer(p, m, opts...).TopK(project, 4)
-			par, err2 := TopKParallel(p, m, project, 4, 3, shared)
+		}
+	}
+}
+
+// distOnly hides every method of an oracle but Dist, so discoverers
+// reach it through the per-pair probe adapter.
+type distOnly struct{ o oracle.Oracle }
+
+func (d distOnly) Dist(u, v expertgraph.NodeID) float64 { return d.o.Dist(u, v) }
+
+// TestProbeMatchesDistOnlyOracle checks that scanning through a PLL
+// oracle's source-major probe changes no team: TopK must return the
+// same teams as through the same index behind a Dist-only wrapper.
+func TestProbeMatchesDistOnlyOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 6; trial++ {
+		g, project := randomSkillGraph(rng, 80, 160, 4, 3+trial%2)
+		if trial%2 == 1 {
+			g = quantizedWeights(t, g)
+		}
+		p := fitOrDie(t, g, 0.6, 0.6)
+		raw := oracle.BuildPLL(g, nil)
+		gp := oracle.BuildPLL(g, p.EdgeWeight())
+		for _, m := range []Method{CC, CACC, SACACC} {
+			idx := gp
+			if m == CC {
+				idx = raw
+			}
+			probed, err1 := NewDiscoverer(p, m, WithOracle(idx)).TopK(project, 5)
+			perPair, err2 := NewDiscoverer(p, m, WithOracle(distOnly{idx})).TopK(project, 5)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("trial %d %v: error mismatch %v vs %v", trial, m, err1, err2)
 			}
-			if err1 != nil {
-				continue
-			}
-			if len(seq) != len(par) {
-				t.Fatalf("trial %d %v: %d vs %d teams", trial, m, len(seq), len(par))
-			}
-			for i := range seq {
-				s1 := team.Evaluate(seq[i], p)
-				s2 := team.Evaluate(par[i], p)
-				if s1.SACACC != s2.SACACC {
-					t.Errorf("trial %d %v team %d: sequential %v vs parallel %v",
-						trial, m, i, s1.SACACC, s2.SACACC)
-				}
-			}
+			sameTeams(t, fmt.Sprintf("trial %d %v", trial, m), probed, perPair)
 		}
 	}
 }

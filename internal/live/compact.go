@@ -272,6 +272,7 @@ func (s *Store) swapAndRebase(snap *Snapshot, g *expertgraph.Graph, staged *stag
 		prefix:        s.prefix,
 		prevBaseEpoch: s.prevBaseEpoch,
 		prevLog:       s.prevLog,
+		adoptions:     cur.adoptions,
 		nodes:         s.nNodes,
 		edges:         s.nEdges,
 		matCtr:        &s.materialized,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"authteam/internal/expertgraph"
+	"authteam/internal/pll"
 )
 
 // TestApplyGroupAbortsOnMemberFailure pins the all-or-nothing contract
@@ -129,5 +130,78 @@ func TestAdoptBaseRewindsFencedStore(t *testing.T) {
 	muts, _, err := s.TailSince(tctx, 1, 0)
 	if err != nil || len(muts) != 1 || muts[0].Term != 2 {
 		t.Fatalf("post-rewind tail: %d muts (%v), want one record minted under term 2", len(muts), err)
+	}
+}
+
+// TestMaintainRefusesAcrossAdoption pins AdoptBase's "history does not
+// bridge an adoption" rule for index repair, in the two shapes where
+// epochs alone cannot tell: a bootstrap that adopts the leader's base
+// at the very epoch (0) of the empty graph it replaces, and a fenced
+// store that rewinds below its old head and then rolls forward past
+// it. Either way MutationsSince finds a window for the anchor's epoch,
+// but the logged mutations did not grow the adopted state out of the
+// anchor's, so repair must refuse and leave the caller to rebuild.
+func TestMaintainRefusesAcrossAdoption(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	empty, err := expertgraph.NewBuilder(0, 0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Bootstrap: empty store at epoch 0 adopts a base at epoch 0.
+	s := mustOpen(t, empty, Config{})
+	pre := s.Snapshot()
+	preIx := pll.Build(empty)
+	if err := s.AdoptBase(testGraph(rng, 10), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	adopted := s.Snapshot()
+	if _, err := s.AddCollaboration(0, 2, 0.6); err != nil && !errors.Is(err, ErrDuplicateEdge) {
+		t.Fatal(err)
+	}
+	if _, _, err := s.AddExpert("late", 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := MaintainIndex(preIx, pre, s.Snapshot(), nil, nil, 0); ok {
+		t.Error("repair bridged the bootstrap adoption at epoch 0")
+	}
+	// Within the adopted lineage repair works as usual.
+	ag, err := adopted.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := MaintainIndex(pll.Build(ag), adopted, s.Snapshot(), nil, nil, 0); !ok {
+		t.Error("repair refused a delta inside the adopted lineage")
+	}
+
+	// Fenced rewind: head at epoch 3, rewind to 1, roll forward to 4.
+	f := mustOpen(t, testGraph(rng, 10), Config{})
+	for i := 0; i < 3; i++ {
+		if _, _, err := f.AddExpert(fmt.Sprintf("old%d", i), 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := f.Snapshot()
+	hg, err := head.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	headIx := pll.Build(hg)
+	if err := f.Demote(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AdoptBase(testGraph(rng, 5), 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := f.AddExpert(fmt.Sprintf("new%d", i), 3, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.Epoch() <= head.Epoch() {
+		t.Fatalf("store at epoch %d, want past the old head %d", f.Epoch(), head.Epoch())
+	}
+	if _, _, ok := MaintainIndex(headIx, head, f.Snapshot(), nil, nil, 0); ok {
+		t.Error("repair bridged a fenced rewind past the old head")
 	}
 }

@@ -107,6 +107,10 @@ type RepairLimits struct {
 // previous-generation log) and only an anchor more than one fold
 // generation old forces the rebuild fallback.
 //
+// A pair of snapshots that straddles a base adoption (AdoptBase) is
+// never repaired: the adopted state did not grow out of `from` by the
+// logged mutations, even where the epochs line up.
+//
 // For weighted indexes, weight must be derived from `to`'s fitted
 // parameters and oldWeight (when supplied) from `from`'s. Both
 // snapshots must come from the same store. ix is not modified.
@@ -127,6 +131,11 @@ func MaintainIndex(ix *pll.Index, from, to *Snapshot, weight, oldWeight WeightFu
 // of work before the caller falls back to a rebuild).
 func MaintainIndexWithin(ix *pll.Index, from, to *Snapshot, weight, oldWeight WeightFunc, lim RepairLimits) (*pll.Index, RepairStats, bool) {
 	var rs RepairStats
+	if from.Adoptions() != to.Adoptions() {
+		// An adoption replaced the store's state between the anchors;
+		// their epochs are not one history (see AdoptBase).
+		return nil, rs, false
+	}
 	muts, ok := to.MutationsSince(from.Epoch())
 	if !ok {
 		return nil, rs, false

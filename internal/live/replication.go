@@ -131,9 +131,14 @@ func (s *Store) WriteBaseTo(w io.Writer) (uint64, error) {
 // history whose wholesale discard is the entire point of the resync.
 //
 // History does not bridge an adoption: prevLog is dropped, so
-// MutationsSince refuses epochs below the adopted one and resident
-// 2-hop covers anchored before it are rebuilt, not silently repaired
-// across a gap whose mutations this store never saw.
+// MutationsSince refuses epochs below the adopted one, and snapshots
+// published after the adoption carry a new lineage that MaintainIndex
+// will not repair across — even when an anchor's epoch is at or above
+// the adopted one (a bootstrap adopting epoch 0 over the empty graph,
+// or a fenced store that rewound and rolled forward past its old
+// head). Resident 2-hop covers anchored before the adoption are
+// rebuilt, not silently repaired across a gap whose mutations this
+// store never saw.
 func (s *Store) AdoptBase(g *expertgraph.Graph, epoch, term uint64) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -212,6 +217,7 @@ func (s *Store) AdoptBase(g *expertgraph.Graph, epoch, term uint64) error {
 		base: g, g: g,
 		nodes: s.nNodes, edges: s.nEdges,
 		prevBaseEpoch: epoch,
+		adoptions:     s.baseAdoptions.Load() + 1,
 		matCtr:        &s.materialized,
 		overlayHist:   s.overlayHist,
 	})

@@ -671,7 +671,7 @@ func (s *Store) SnapshotAt(epoch uint64) (*Snapshot, bool) {
 		epoch: epoch, baseEpoch: cur.baseEpoch,
 		base: cur.base, log: log, nodes: nodes, edges: edges,
 		prefix:        cur.prefix[:idx/s.memo],
-		prevBaseEpoch: cur.prevBaseEpoch, prevLog: cur.prevLog,
+		prevBaseEpoch: cur.prevBaseEpoch, prevLog: cur.prevLog, adoptions: cur.adoptions,
 		matCtr: cur.matCtr, overlayHist: cur.overlayHist,
 	}
 	if epoch == cur.baseEpoch {
@@ -1095,6 +1095,7 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 		prefix:        s.prefix,
 		prevBaseEpoch: s.prevBaseEpoch,
 		prevLog:       s.prevLog,
+		adoptions:     s.baseAdoptions.Load(),
 		nodes:         s.nNodes,
 		edges:         s.nEdges,
 		matCtr:        &s.materialized,
@@ -1127,6 +1128,13 @@ type Snapshot struct {
 	matCtr        *atomic.Uint64 // store's materialization counter (may be nil)
 	overlayHist   *obs.Histogram // overlay-build duration instrument (may be nil)
 
+	// adoptions is the store's BaseAdoptions count when this snapshot
+	// was published. Epochs compare only within one adoption lineage:
+	// an adoption may land on (or, fenced, rewind below) epochs the
+	// store already passed, so two snapshots with different counts have
+	// no history between them, whatever their epochs say.
+	adoptions uint64
+
 	once sync.Once
 	g    *expertgraph.Graph
 	err  error
@@ -1148,6 +1156,13 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 // through; Epoch−BaseEpoch is the delta the snapshot's overlay view
 // patches over the base CSR.
 func (sn *Snapshot) BaseEpoch() uint64 { return sn.baseEpoch }
+
+// Adoptions returns how many base adoptions (AdoptBase) the store had
+// made when it published this snapshot. Epochs order two snapshots of
+// one store only when their counts are equal: state derived from a
+// snapshot with an older count belongs to a discarded lineage, however
+// its epoch compares.
+func (sn *Snapshot) Adoptions() uint64 { return sn.adoptions }
 
 // NumNodes returns the expert count at this epoch without
 // materializing the graph.

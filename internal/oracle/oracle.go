@@ -3,10 +3,14 @@
 // Dijkstra (reference, no preprocessing) and the 2-hop cover index
 // (pll) that the paper uses for constant-time queries.
 //
-// Algorithm 1 probes DIST(root, v) for every candidate root and every
-// candidate skill holder v, so oracles also expose a source-major
-// access pattern that implementations can exploit (the Dijkstra oracle
-// caches the last source's full distance array).
+// Algorithm 1 asks for DIST(root, v) for every candidate root and every
+// holder v of every project skill, so its root scan runs source-major
+// through a Probe: one source at a time, many targets each. For a PLL
+// oracle NewProbe returns a pll.Probe, which decodes each root's label
+// and each holder's label once per scan instead of once per pair. Any
+// other oracle is adapted by asking its Dist per pair — the Dijkstra
+// oracle then still pays one SSSP per root, because it caches the last
+// source's full distance array.
 package oracle
 
 import (
@@ -21,6 +25,34 @@ type Oracle interface {
 	// v is unreachable from u.
 	Dist(u, v expertgraph.NodeID) float64
 }
+
+// Probe answers DIST queries from one source at a time, over one scan.
+// It is not safe for concurrent use; create one per scan with NewProbe.
+type Probe interface {
+	// Source makes src the source of the following To calls.
+	Source(src expertgraph.NodeID)
+	// To returns the distance from the current source to v, exactly
+	// what the oracle's Dist(src, v) returns.
+	To(v expertgraph.NodeID) float64
+}
+
+// NewProbe returns a probe over o: a pll.Probe over the index of a
+// PLLOracle, otherwise an adapter calling o.Dist per pair.
+func NewProbe(o Oracle) Probe {
+	if po, ok := o.(*PLLOracle); ok {
+		return po.ix.NewProbe()
+	}
+	return &distProbe{o: o}
+}
+
+// distProbe adapts a Dist-only oracle to Probe.
+type distProbe struct {
+	o   Oracle
+	src expertgraph.NodeID
+}
+
+func (p *distProbe) Source(src expertgraph.NodeID)   { p.src = src }
+func (p *distProbe) To(v expertgraph.NodeID) float64 { return p.o.Dist(p.src, v) }
 
 // WeightFunc reweights an edge (u, v) with stored weight w. It is how
 // the transformed graph G' of §3.2.2 is searched without materializing

@@ -6,10 +6,18 @@
 // Construction runs a pruned Dijkstra from every node in landmark order
 // (highest degree first by default). A visit of node u at distance d
 // from landmark L is pruned when the labels built so far already prove
-// dist(L,u) ≤ d; otherwise (L,d) is appended to u's label. Queries
-// merge-join the two sorted label arrays. For small-world graphs such
-// as co-authorship networks labels stay short, giving microsecond
-// queries over graphs where per-query Dijkstra would be milliseconds.
+// dist(L,u) ≤ d; otherwise (L,d) is appended to u's label. A single
+// query (Index.Dist) merge-joins the two sorted label arrays. For
+// small-world graphs such as co-authorship networks labels stay short,
+// giving microsecond queries over graphs where per-query Dijkstra
+// would be milliseconds.
+//
+// Algorithm 1 asks for many distances from each root, so its scan
+// queries through a Probe instead (probe.go): the source's label is
+// decoded once into a rank-indexed array and each target's label once
+// per scan, and a distance is one pass over the target's entries. The
+// probe adds the same hub distances as the merge-join, so its answers
+// are bit-identical to Dist.
 //
 // Construction can shard over workers (Options.Workers): landmarks are
 // processed in rank blocks whose pruned Dijkstras run concurrently
