@@ -170,24 +170,10 @@ type Options struct {
 	// CompactBytes is the background compactor's journal-size trigger
 	// (0 disables the byte trigger).
 	CompactBytes int64
-	// MemoEvery is the spacing of the store's reconstruction
-	// checkpoints; ≤ 0 keeps the default (256). Smaller values trade
-	// memory for faster historical-epoch reconstruction.
-	MemoEvery int
 	// CommitBatch caps how many queued mutations the store's group
 	// committer covers with one journal write + epoch publish; ≤ 0
 	// keeps the default (256).
 	CommitBatch int
-	// CommitInterval makes the group committer wait this long after a
-	// batch's first mutation for more to accumulate (fewer fsyncs
-	// under heavy concurrent writes, at the cost of per-op latency).
-	// 0 — the default — commits as soon as the queue drains.
-	CommitInterval time.Duration
-	// CommitAuto replaces the fixed CommitInterval with an adaptive
-	// straggler window: the committer batches only while journal
-	// appends are slower than mutation arrivals (fsync-bound) and
-	// commits immediately otherwise. Overrides CommitInterval.
-	CommitAuto bool
 	// Follow turns the client into a read replica of the team discovery
 	// server at this base URL (e.g. "http://leader:7411"): the local
 	// store is bootstrapped and kept current from the leader's
@@ -289,10 +275,7 @@ func New(g *Graph, opt Options) (*Client, error) {
 	store, err := live.Open(g, live.Config{
 		JournalPath:      opt.Journal,
 		CompactThreshold: opt.CompactThreshold,
-		MemoEvery:        opt.MemoEvery,
 		CommitBatch:      opt.CommitBatch,
-		CommitInterval:   opt.CommitInterval,
-		CommitAuto:       opt.CommitAuto,
 		Metrics:          opt.Metrics,
 	})
 	if err != nil {

@@ -22,6 +22,7 @@ package authteam_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -70,7 +71,7 @@ func BenchmarkWritePath(b *testing.B) {
 					for i := w; i < b.N; i += writers {
 						pr := pairs[i]
 						if _, err := st.AddCollaboration(pr[0], pr[1], 0.5); err != nil &&
-							err != live.ErrDuplicateEdge {
+							!errors.Is(err, live.ErrDuplicateEdge) {
 							errCh <- err
 							return
 						}
@@ -123,7 +124,7 @@ func BenchmarkChainedOverlayStream(b *testing.B) {
 		pr := pairs[i]
 		t0 := time.Now()
 		if _, err := st.AddCollaboration(pr[0], pr[1], 0.5); err != nil &&
-			err != live.ErrDuplicateEdge {
+			!errors.Is(err, live.ErrDuplicateEdge) {
 			b.Fatal(err)
 		}
 		// Reading the view back every epoch is what makes the chain

@@ -203,10 +203,7 @@ func runServe(args []string) {
 		follow    = fs.String("follow", "", "serve as a read replica of the leader at this base URL (e.g. http://leader:7411): bootstrap and stay current from its replication log, redirect mutations to it")
 		followIv  = fs.Duration("follow-poll", 0, "replication long-poll bound (0 = default 25s)")
 		minWait   = fs.Duration("min-epoch-wait", 0, "max time a read carrying X-Authteam-Min-Epoch blocks for replication before redirecting/failing (0 = default 5s)")
-		memoEvery = fs.Int("memo-every", 0, "store reconstruction-checkpoint spacing (0 = default 256)")
 		commitBat = fs.Int("commit-batch", 0, "max mutations per group commit — one journal write + one epoch publish per batch (0 = default 256)")
-		commitIv  = fs.String("commit-interval", "", "group-commit accumulation window: a duration waits that long after a batch's first mutation for more before committing; 'auto' opens the window only while journal appends are slower than arrivals (fsync-bound); empty commits as soon as the queue drains")
-		cacheCF   = fs.Int("cache-compact-factor", 0, "result-cache per-epoch key-list compaction factor (0 = default 2)")
 		visits    = fs.Int("repair-visit-budget", 0, "max label visits one incremental index repair may spend before falling back to an async rebuild (0 disables the cap)")
 		debugAddr = fs.String("debug-addr", "", "private debug listener for pprof and /metrics (e.g. localhost:7511; empty disables)")
 		logFormat = fs.String("log-format", "text", "structured log format: text | json")
@@ -224,19 +221,6 @@ func runServe(args []string) {
 		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	default:
 		fail("serve: unknown -log-format %q (want text or json)", *logFormat)
-	}
-
-	var commitWindow time.Duration
-	var commitAuto bool
-	switch *commitIv {
-	case "", "0", "0s":
-	case "auto":
-		commitAuto = true
-	default:
-		var perr error
-		if commitWindow, perr = time.ParseDuration(*commitIv); perr != nil {
-			fail("serve: bad -commit-interval %q (want a duration or 'auto')", *commitIv)
-		}
 	}
 
 	srv, err := server.New(server.Config{
@@ -259,11 +243,7 @@ func runServe(args []string) {
 		FollowURL:          *follow,
 		FollowPoll:         *followIv,
 		MinEpochWait:       *minWait,
-		MemoEvery:          *memoEvery,
 		CommitBatch:        *commitBat,
-		CommitInterval:     commitWindow,
-		CommitAuto:         commitAuto,
-		CacheCompactFactor: *cacheCF,
 		DebugAddr:          *debugAddr,
 		ReadyMaxLagEpochs:  *readyLagE,
 		ReadyMaxLag:        *readyLag,

@@ -35,11 +35,6 @@ const maxChainDepth = 16
 // two up to the default batch cap.
 var commitBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// maxAutoInterval caps the straggler window the adaptive commit
-// interval (Config.CommitAuto) will open: even on a disk whose fsync
-// is slower than this, no mutation waits longer for company.
-const maxAutoInterval = 5 * time.Millisecond
-
 // applyReq is one mutation in flight through the commit pipeline.
 type applyReq struct {
 	m     Mutation
@@ -76,33 +71,12 @@ func (s *Store) committer() {
 	}
 }
 
-// collectBatch gathers up to commitBatchMax ops: everything already
-// queued behind first, plus — when CommitInterval is set — whatever
-// else arrives within the interval. With a zero interval batching
-// comes only from arrival concurrency (ops that queued while the
-// previous commit was in flight) and adds no latency.
+// collectBatch gathers up to commitBatchMax ops: first plus everything
+// already queued behind it. Batching comes only from arrival
+// concurrency — ops that queued while the previous commit was in
+// flight — so a lone mutation never waits for company.
 func (s *Store) collectBatch(first *applyReq) []*applyReq {
 	batch := append(make([]*applyReq, 0, min(s.commitBatchMax, 16)), first)
-	interval := s.commitInterval
-	if s.commitAuto {
-		interval = s.autoInterval()
-	}
-	if interval <= 0 {
-		for len(batch) < s.commitBatchMax {
-			select {
-			case req, ok := <-s.applyCh:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, req)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
 	for len(batch) < s.commitBatchMax {
 		select {
 		case req, ok := <-s.applyCh:
@@ -110,26 +84,11 @@ func (s *Store) collectBatch(first *applyReq) []*applyReq {
 				return batch
 			}
 			batch = append(batch, req)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}
 	return batch
-}
-
-// autoInterval decides the adaptive straggler window: zero (the
-// no-latency fast path) unless the journal append EWMA exceeds the
-// arrival-gap EWMA — i.e. more than one mutation arrives, on average,
-// while one fsync runs, so waiting about one append's worth collects a
-// batch that amortizes it. Anything else — idle store, fast disk,
-// journaling off — keeps the fast path.
-func (s *Store) autoInterval() time.Duration {
-	app := s.ewmaAppendNS.Load()
-	gap := s.ewmaGapNS.Load()
-	if app <= 0 || gap <= 0 || app <= gap {
-		return 0
-	}
-	return min(time.Duration(app), maxAutoInterval)
 }
 
 // commitBatch runs one group commit: validate every op against the
@@ -224,7 +183,7 @@ func (s *Store) commitBatch(batch []*applyReq) {
 	// (write-ahead: nothing mutates writer state before it is durable).
 	if len(staged) > 0 && s.journal != nil {
 		var jstart time.Time
-		if s.appendHist != nil || s.commitAuto {
+		if s.appendHist != nil {
 			jstart = time.Now()
 		}
 		fatal, err := s.journal.appendGroup(ms)
@@ -245,21 +204,8 @@ func (s *Store) commitBatch(batch []*applyReq) {
 			}
 			return
 		}
-		if s.appendHist != nil || s.commitAuto {
-			d := time.Since(jstart)
-			if s.appendHist != nil {
-				s.appendHist.Observe(d.Seconds())
-			}
-			if s.commitAuto {
-				// Whole-group duration, not per-op: an fsync costs about
-				// the same however many records ride it, and "one append
-				// outlasts the average arrival gap" is exactly the
-				// bottleneck condition the window exists for. Tracking
-				// per-op cost instead would close the window as soon as
-				// batching starts winning and oscillate.
-				old := s.ewmaAppendNS.Load()
-				s.ewmaAppendNS.Store(old + (int64(d)-old)/4)
-			}
+		if s.appendHist != nil {
+			s.appendHist.Observe(time.Since(jstart).Seconds())
 		}
 		// Nudge the background compactor when this group crossed its
 		// fold trigger — a non-blocking watermark signal, so folds

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"authteam/internal/expertgraph"
 )
@@ -157,46 +156,65 @@ func TestGroupCommitSoak(t *testing.T) {
 	assertGraphsEqual(t, wantG, g2)
 }
 
-// TestGroupCommitBatching pins that a commit interval actually groups
-// concurrent mutations: with an accumulation window open, N parallel
-// ops must land in far fewer than N commits, while epoch numbering and
-// replay stay per-op.
+// prepared wraps ms as queued requests, exactly as Apply enqueues
+// them, so a test can hand commitBatch a batch of its choosing instead
+// of hoping concurrent writers happen to share one.
+func prepared(ms ...Mutation) []*applyReq {
+	batch := make([]*applyReq, len(ms))
+	for i, m := range ms {
+		batch[i] = &applyReq{m: m, done: make(chan applyResult, 1)}
+	}
+	return batch
+}
+
+// settle collects every request's result after commitBatch returned.
+func settle(t *testing.T, batch []*applyReq) []applyResult {
+	t.Helper()
+	out := make([]applyResult, len(batch))
+	for i, r := range batch {
+		select {
+		case out[i] = <-r.done:
+		default:
+			t.Fatalf("op %d was never settled", i)
+		}
+	}
+	return out
+}
+
+// TestGroupCommitBatching pins what one group commit does with a batch
+// of N ops: one commit and one journal group, per-op epochs in batch
+// order, and a journal that replays to the identical graph.
 func TestGroupCommitBatching(t *testing.T) {
 	const ops = 24
 	rng := rand.New(rand.NewSource(72))
-	base := testGraph(rng, ops+4)
+	base := testGraph(rng, ops+1)
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	s := mustOpen(t, base, Config{
-		JournalPath:    path,
-		CommitInterval: 50 * time.Millisecond,
-	})
+	s := mustOpen(t, base, Config{JournalPath: path})
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, ops)
-	for i := 0; i < ops; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.AddCollaboration(expertgraph.NodeID(i), expertgraph.NodeID(i+2), 0.5); err != nil &&
-				!errors.Is(err, ErrDuplicateEdge) {
-				errCh <- err
-			}
-		}(i)
+	// A fresh expert wired to every base node: no op can collide with
+	// an existing edge, so all N must commit.
+	ms := []Mutation{{Op: OpAddNode, Name: "hub", Authority: 4, Skills: []string{"analytics"}}}
+	hub := expertgraph.NodeID(base.NumNodes())
+	for v := 0; v < ops-1; v++ {
+		ms = append(ms, Mutation{Op: OpAddEdge, U: hub, V: expertgraph.NodeID(v), W: 0.25})
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	batch := prepared(ms...)
+	s.commitBatch(batch)
+	for i, res := range settle(t, batch) {
+		if res.err != nil {
+			t.Fatalf("op %d: %v", i, res.err)
+		}
+		if res.epoch != uint64(i+1) {
+			t.Fatalf("op %d got epoch %d, want %d", i, res.epoch, i+1)
+		}
 	}
-	if s.Epoch() == 0 {
-		t.Fatal("no ops committed")
+	if s.Epoch() != ops || s.Commits() != 1 {
+		t.Fatalf("epoch %d, commits %d after one batch of %d ops, want %d and 1", s.Epoch(), s.Commits(), ops, ops)
 	}
-	if s.Commits() >= s.Epoch() {
-		t.Fatalf("commits %d not below ops %d — the window never grouped anything",
-			s.Commits(), s.Epoch())
+	if rec, _ := s.JournalStats(); rec != ops {
+		t.Fatalf("journal records %d, want %d", rec, ops)
 	}
 
-	wantEpoch := s.Epoch()
 	wantG, err := s.Snapshot().Graph()
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +223,8 @@ func TestGroupCommitBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := mustOpen(t, base, Config{JournalPath: path})
-	if s2.Epoch() != wantEpoch {
-		t.Fatalf("replayed epoch %d, want %d", s2.Epoch(), wantEpoch)
+	if s2.Epoch() != ops {
+		t.Fatalf("replayed epoch %d, want %d", s2.Epoch(), ops)
 	}
 	g2, err := s2.Snapshot().Graph()
 	if err != nil {
@@ -216,42 +234,53 @@ func TestGroupCommitBatching(t *testing.T) {
 }
 
 // TestGroupCommitIntraBatchValidation pins the sequencing contract
-// inside one batch: of two conflicting mutations accumulated into the
-// same commit window, exactly one may win — the loser must see the
-// same error the serial write path produced, not a torn half-applied
-// state.
+// inside one batch: each op validates against the effects of the ops
+// before it, so a duplicate add loses exactly as it would have on the
+// serial path, and ops that depend on an earlier op of the batch (a
+// re-weight of an edge added in it, a removal then a re-add) see it.
+// Rejected ops take no epoch; the survivors share one commit.
 func TestGroupCommitIntraBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	base := testGraph(rng, 20)
-	s := mustOpen(t, base, Config{CommitInterval: 50 * time.Millisecond})
+	if _, ok := base.EdgeWeight(2, 17); ok {
+		t.Fatal("fixture already has edge (2,17)")
+	}
+	ms := []Mutation{
+		{Op: OpAddEdge, U: 2, V: 17, W: 0.4},
+		{Op: OpAddEdge, U: 17, V: 2, W: 0.9}, // duplicate of op 0
+		{Op: OpUpdateEdge, U: 2, V: 17, W: 0.6},
+		{Op: OpRemoveEdge, U: 2, V: 17},
+		{Op: OpUpdateEdge, U: 2, V: 17, W: 0.7}, // edge gone again
+		{Op: OpAddEdge, U: 2, V: 17, W: 0.3},
+	}
 
-	var wg sync.WaitGroup
-	var dups, oks atomic.Int64
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			switch _, err := s.AddCollaboration(2, 17, 0.4); {
-			case err == nil:
-				oks.Add(1)
-			case errors.Is(err, ErrDuplicateEdge):
-				dups.Add(1)
-			default:
-				t.Error(err)
-			}
-		}()
+	s := mustOpen(t, base, Config{})
+	batch := prepared(ms...)
+	s.commitBatch(batch)
+	got := settle(t, batch)
+
+	// The serial path: the same ops, one Apply (one commit) each.
+	serial := mustOpen(t, base, Config{})
+	for i, m := range ms {
+		_, epoch, err := serial.Apply(m)
+		if (err == nil) != (got[i].err == nil) || (err != nil && err.Error() != got[i].err.Error()) {
+			t.Fatalf("op %d: batched error %v, serial error %v", i, got[i].err, err)
+		}
+		if err == nil && epoch != got[i].epoch {
+			t.Fatalf("op %d: batched epoch %d, serial epoch %d", i, got[i].epoch, epoch)
+		}
 	}
-	wg.Wait()
-	if oks.Load() != 1 || dups.Load() != 1 {
-		t.Fatalf("conflicting pair resolved as %d ok / %d duplicate, want 1/1",
-			oks.Load(), dups.Load())
+	if !errors.Is(got[1].err, ErrDuplicateEdge) || !errors.Is(got[4].err, ErrUnknownEdge) {
+		t.Fatalf("rejects: op 1 %v, op 4 %v", got[1].err, got[4].err)
 	}
-	if s.Epoch() != 1 {
-		t.Fatalf("epoch %d after one winning op, want 1", s.Epoch())
+	if s.Epoch() != 4 || s.Commits() != 1 {
+		t.Fatalf("epoch %d, commits %d, want 4 ops in 1 commit", s.Epoch(), s.Commits())
 	}
-	gv := s.Snapshot().View()
-	if w, ok := gv.EdgeWeight(2, 17); !ok || w != 0.4 {
-		t.Fatalf("edge after batch: %v %v", w, ok)
+	if w, ok := s.Snapshot().View().EdgeWeight(2, 17); !ok || w != 0.3 {
+		t.Fatalf("edge after batch: %v %v, want 0.3", w, ok)
+	}
+	if !equalFP(viewFingerprint(s.Snapshot().View()), viewFingerprint(serial.Snapshot().View())) {
+		t.Fatal("batched and serial stores disagree")
 	}
 }
 

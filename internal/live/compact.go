@@ -71,10 +71,9 @@ const baseFormatVersion = 1
 // Compact folds every mutation up to the current epoch into the
 // persisted base graph, truncates the journal to the suffix applied
 // while the fold ran, and re-bases the store in memory: the folded
-// epoch's materialized graph becomes the new in-memory base, the
-// resident log shrinks to the post-fold suffix, and the SnapshotAt
-// prefix checkpoints are rebuilt for it. A long-running deployment
-// under a background compactor therefore keeps resident state —
+// epoch's materialized graph becomes the new in-memory base and the
+// resident log shrinks to the post-fold suffix. A long-running
+// deployment under a background compactor therefore keeps resident state —
 // journal file, mutation log, per-epoch overlay construction cost —
 // O(churn since the last fold), never O(lifetime mutations).
 //
@@ -245,11 +244,10 @@ func (s *Store) swapAndRebase(snap *Snapshot, g *expertgraph.Graph, staged *stag
 	old.Close()
 
 	// In-memory re-base: the fold-epoch graph becomes the base, the log
-	// shrinks to the in-flight suffix (copied into a fresh backing array
-	// so the old one is released once published snapshots die), and the
-	// prefix checkpoints are rebuilt over the new log. The folded
-	// generation's log is retained as prevLog so MutationsSince bridges
-	// this one boundary; the generation before it is dropped. The edge
+	// shrinks to the in-flight suffix (copied into a fresh backing
+	// array so the old one is released once published snapshots die).
+	// The folded generation's log is retained as prevLog so
+	// MutationsSince bridges this one boundary; the generation before it is dropped. The edge
 	// set and node/edge counters describe the current epoch, which the
 	// re-base does not change, so they stay as they are.
 	cur := s.snap.Load()
@@ -263,13 +261,11 @@ func (s *Store) swapAndRebase(snap *Snapshot, g *expertgraph.Graph, staged *stag
 	s.base = g
 	s.baseEpoch = snap.Epoch()
 	s.log = newLog
-	s.prefix = rebuildPrefix(g, newLog, s.memo)
 	next := &Snapshot{
 		epoch:         cur.epoch,
 		baseEpoch:     s.baseEpoch,
 		base:          g,
 		log:           newLog,
-		prefix:        s.prefix,
 		prevBaseEpoch: s.prevBaseEpoch,
 		prevLog:       s.prevLog,
 		adoptions:     cur.adoptions,
@@ -290,25 +286,6 @@ func (s *Store) swapAndRebase(snap *Snapshot, g *expertgraph.Graph, staged *stag
 		Removed:   snap.Epoch() - old.startEpoch,
 		Remaining: uint64(len(tail)),
 	}, nil
-}
-
-// rebuildPrefix recomputes the SnapshotAt checkpoints for a re-based
-// log: entry k-1 holds the graph size after the first k·every
-// records of log on top of base.
-func rebuildPrefix(base *expertgraph.Graph, log []Mutation, every int) []prefixCount {
-	n := len(log) / every
-	if n == 0 {
-		return nil
-	}
-	out := make([]prefixCount, 0, n)
-	nodes, edges := base.NumNodes(), base.NumEdges()
-	for i, m := range log[:n*every] {
-		countMutation(m, &nodes, &edges)
-		if (i+1)%every == 0 {
-			out = append(out, prefixCount{nodes: nodes, edges: edges})
-		}
-	}
-	return out
 }
 
 // stagedJournal is a fully written (and fsynced) replacement journal

@@ -3,10 +3,8 @@ package live
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
@@ -157,52 +155,5 @@ func TestOrganicTermAdoption(t *testing.T) {
 	s2 := mustOpen(t, g, Config{JournalPath: path})
 	if s2.Term() != 4 {
 		t.Fatalf("replayed store term %d, want 4 from the journaled record", s2.Term())
-	}
-}
-
-// TestCommitAutoSoak runs concurrent writers against a store with the
-// adaptive commit window enabled: every accepted write must land in
-// order with a distinct epoch, same as the fixed-interval path.
-func TestCommitAutoSoak(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	dir := t.TempDir()
-	s := mustOpen(t, testGraph(rng, 30), Config{
-		JournalPath: filepath.Join(dir, "g.wal"),
-		CommitAuto:  true,
-	})
-
-	const writers, per = 4, 50
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	accepted := 0
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				_, _, err := s.AddExpert(fmt.Sprintf("w%d-%d", w, i), 1+float64(i%9), []string{"analytics"})
-				if err != nil {
-					t.Errorf("writer %d: %v", w, err)
-					return
-				}
-				mu.Lock()
-				accepted++
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if got := s.Epoch(); got != uint64(accepted) {
-		t.Fatalf("epoch %d after %d accepted writes", got, accepted)
-	}
-	g, err := s.Snapshot().Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 30+writers*per {
-		t.Fatalf("node count %d, want %d", g.NumNodes(), 30+writers*per)
 	}
 }

@@ -31,11 +31,10 @@ import (
 // Group commit on the leader is invisible at this layer: a batch is
 // journaled as N ordinary records carrying consecutive per-op epochs,
 // byte-identical to what N serial appends would have written, so the
-// tail stream, the base snapshot, and the follower's replay need no
-// notion of batch boundaries. (A follower still group-commits its own
-// applies locally; the win it cannot get today is applying a whole
-// leader batch under one lock acquisition — that would need batch
-// framing in the wire protocol, noted as a follow-up in ROADMAP.md.)
+// tail stream and the base snapshot need no notion of batch
+// boundaries. The follower batches on its own side: it applies each
+// tail response as one ApplyGroup run, so a backlog of N records costs
+// a few group commits instead of N.
 
 // Replication errors.
 var (
@@ -206,7 +205,7 @@ func (s *Store) AdoptBase(g *expertgraph.Graph, epoch, term uint64) error {
 		old.Close()
 	}
 	s.base, s.baseEpoch = g, epoch
-	s.log, s.prefix = nil, nil
+	s.log = nil
 	s.prevBaseEpoch, s.prevLog = epoch, nil
 	s.term.Store(ts.term)
 	s.termStart.Store(ts.termStart)
@@ -251,13 +250,11 @@ type ReplicationSource interface {
 	Base(ctx context.Context) (*expertgraph.Graph, uint64, uint64, error)
 }
 
-// GroupedSource is an optional ReplicationSource extension: a source
-// whose tail preserves batch framing, so a follower can hand each
-// group to ApplyGroup and pay one journal fsync and one epoch publish
-// per group instead of per record. A Follower uses it when the source
-// implements it and falls back to Tail (per-record apply) otherwise —
-// which is also what a grouped transport does transparently when the
-// *remote* end predates group framing.
+// GroupedSource is a ReplicationSource that can also return a tail as
+// apply-together groups. Nothing in this module consumes it (the
+// Follower applies each Tail response as one group); it exists because
+// the serving benchmark module (servebench) asserts it on its traced
+// source.
 type GroupedSource interface {
 	ReplicationSource
 	// TailGroups is Tail with the flat record stream split into
@@ -271,19 +268,10 @@ type storeSource struct{ s *Store }
 
 // SourceFromStore exposes a store as a ReplicationSource, replicating
 // store-to-store inside one process (tests, embedded read replicas).
-// The source is grouped: each tail batch arrives as one group.
 func SourceFromStore(s *Store) ReplicationSource { return storeSource{s} }
 
 func (ss storeSource) Tail(ctx context.Context, from uint64, max int) ([]Mutation, uint64, error) {
 	return ss.s.TailSince(ctx, from, max)
-}
-
-func (ss storeSource) TailGroups(ctx context.Context, from uint64, max int) ([][]Mutation, uint64, error) {
-	muts, epoch, err := ss.s.TailSince(ctx, from, max)
-	if len(muts) == 0 {
-		return nil, epoch, err
-	}
-	return [][]Mutation{muts}, epoch, err
 }
 
 func (ss storeSource) Base(context.Context) (*expertgraph.Graph, uint64, uint64, error) {
@@ -351,22 +339,18 @@ type FollowerStats struct {
 }
 
 // Follower replays a ReplicationSource onto a local store: steady
-// tailing from the store's epoch, automatic base adoption when the
-// source's retained window has moved past it, exponential backoff on
-// transport errors. The local store must not be mutated by anyone
-// else — the follower checks epoch continuity per batch and stops with
-// a sticky error on divergence rather than guessing (epochs are
-// monotonic; silently resyncing backwards would break every
-// epoch-keyed cache above the store).
+// tailing from the store's epoch, each tail response applied as one
+// ApplyGroup run (a few group commits, not one per record), automatic
+// base adoption when the source's retained window has moved past it,
+// exponential backoff on transport errors. The local store must not be
+// mutated by anyone else — the follower checks epoch continuity per
+// batch and stops with a sticky error on divergence rather than
+// guessing (epochs are monotonic; silently resyncing backwards would
+// break every epoch-keyed cache above the store).
 type Follower struct {
 	store *Store
 	src   ReplicationSource
-	// grouped is src when it also implements GroupedSource: tail
-	// batches then arrive with framing and each group is applied as
-	// one ApplyGroup run (one fsync, one publish) instead of
-	// record-by-record.
-	grouped GroupedSource
-	cfg     FollowerConfig
+	cfg   FollowerConfig
 
 	cancel   context.CancelFunc
 	stop     chan struct{}
@@ -397,9 +381,6 @@ func StartFollower(store *Store, src ReplicationSource, cfg FollowerConfig) *Fol
 		cancel: cancel,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	if gs, ok := src.(GroupedSource); ok {
-		f.grouped = gs
 	}
 	f.caughtUpNS.Store(time.Now().UnixNano())
 	go f.loop(ctx)
@@ -507,53 +488,34 @@ func (f *Follower) loop(ctx context.Context) {
 		}
 		from := f.store.Epoch()
 		pollCtx, cancel := context.WithTimeout(ctx, f.cfg.PollTimeout)
-		var (
-			groups      [][]Mutation
-			leaderEpoch uint64
-			err         error
-		)
-		if f.grouped != nil {
-			groups, leaderEpoch, err = f.grouped.TailGroups(pollCtx, from, f.cfg.MaxBatch)
-		} else {
-			// Ungrouped source: apply record by record, exactly the
-			// pre-framing behavior.
-			var muts []Mutation
-			muts, leaderEpoch, err = f.src.Tail(pollCtx, from, f.cfg.MaxBatch)
-			for i := range muts {
-				groups = append(groups, muts[i:i+1:i+1])
-			}
-		}
+		muts, leaderEpoch, err := f.src.Tail(pollCtx, from, f.cfg.MaxBatch)
 		cancel()
 		f.polls.Add(1)
 		if leaderEpoch > 0 {
 			f.leaderEpoch.Store(leaderEpoch)
 		}
 
-		// Apply whatever arrived — a batch cut short by a torn stream
-		// still advances the store group by group; the next poll
-		// resumes exactly past the last applied epoch.
+		// Apply whatever arrived as one group — a batch cut short by a
+		// torn stream is still a clean prefix; the next poll resumes
+		// exactly past the last applied epoch.
 		fatal := false
-		want := from
-		for _, grp := range groups {
-			if local := f.store.Epoch(); local != want {
-				err = fmt.Errorf("live: follower: local store at epoch %d, expected %d (mutated outside replication)", local, want)
+		if len(muts) > 0 {
+			if local := f.store.Epoch(); local != from {
+				err = fmt.Errorf("live: follower: local store at epoch %d, expected %d (mutated outside replication)", local, from)
 				fatal = true
-				break
+			} else {
+				last, n, aerr := f.store.ApplyGroup(muts)
+				f.applied.Add(uint64(n))
+				switch {
+				case aerr != nil:
+					err = fmt.Errorf("live: follower: apply epoch %d..%d: %w", from+1, from+uint64(len(muts)), aerr)
+					fatal = true
+				case n != len(muts) || last != from+uint64(n):
+					err = fmt.Errorf("live: follower: group of %d applied as %d records ending at epoch %d, expected %d (mutated outside replication)",
+						len(muts), n, last, from+uint64(len(muts)))
+					fatal = true
+				}
 			}
-			last, n, aerr := f.store.ApplyGroup(grp)
-			f.applied.Add(uint64(n))
-			if aerr != nil {
-				err = fmt.Errorf("live: follower: apply epoch %d..%d: %w", want+1, want+uint64(len(grp)), aerr)
-				fatal = true
-				break
-			}
-			if n != len(grp) || last != want+uint64(n) {
-				err = fmt.Errorf("live: follower: group of %d applied as %d records ending at epoch %d, expected %d (mutated outside replication)",
-					len(grp), n, last, want+uint64(len(grp)))
-				fatal = true
-				break
-			}
-			want = last
 		}
 
 		switch {

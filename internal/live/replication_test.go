@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -178,6 +179,39 @@ func TestFollowerCatchUp(t *testing.T) {
 	f.Stop()
 	if st := f.Stats(); st.Running {
 		t.Fatal("follower still running after Stop")
+	}
+}
+
+// TestFollowerAppliesBacklogInGroups starts a follower behind a
+// backlog of leader records. The follower commits each tail response
+// as one ApplyGroup run, so it must catch up in fewer commits than
+// records; a follower that applied record by record would need one
+// commit each.
+func TestFollowerAppliesBacklogInGroups(t *testing.T) {
+	const backlog = 300
+	rng := rand.New(rand.NewSource(81))
+	base := testGraph(rng, 20)
+	leader := mustOpen(t, base, Config{})
+	for i := 0; i < backlog; i++ {
+		if _, _, err := leader.AddExpert(fmt.Sprintf("e%d", i), 2, []string{"analytics"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Opened over the leader's base graph, the follower is already
+	// seeded: it tails from epoch 0 without fetching a base.
+	follower := mustOpen(t, base, Config{JournalPath: filepath.Join(t.TempDir(), "follower.wal")})
+	f := StartFollower(follower, SourceFromStore(leader), FollowerConfig{PollTimeout: 200 * time.Millisecond})
+	defer f.Stop()
+	waitFollowerEpoch(t, follower, backlog)
+	if c := follower.Commits(); c >= backlog {
+		t.Fatalf("follower applied %d records in %d commits, want fewer than one per record", backlog, c)
+	}
+	if st := f.Stats(); st.BaseFetches != 0 {
+		t.Fatalf("seeded follower fetched a base: %+v", st)
+	}
+	if !equalFP(viewFingerprint(follower.Snapshot().View()), viewFingerprint(leader.Snapshot().View())) {
+		t.Fatal("follower graph differs from leader after catching up on the backlog")
 	}
 }
 
@@ -420,32 +454,4 @@ func TestMaintainIndexVisitBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampleDistancesAgree(t, rng, repaired, pll.Build(g), g.NumNodes())
-}
-
-// TestMemoEveryKnob opens a store with a tiny checkpoint spacing and
-// checks SnapshotAt stays exact at every epoch.
-func TestMemoEveryKnob(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	st := mustOpen(t, testGraph(rng, 15), Config{MemoEvery: 4})
-	defer st.Close()
-
-	// Some mutateRandomly calls advance the epoch by 2 (add + wire-in
-	// edge), so record observed epochs rather than assuming 1:1.
-	type counts struct{ nodes, edges int }
-	history := map[uint64]counts{0: {st.Snapshot().NumNodes(), st.Snapshot().NumEdges()}}
-	for i := 0; i < 20; i++ {
-		mutateRandomly(t, st, rng, 1)
-		sn := st.Snapshot()
-		history[sn.Epoch()] = counts{sn.NumNodes(), sn.NumEdges()}
-	}
-	for e, want := range history {
-		sn, ok := st.SnapshotAt(e)
-		if !ok {
-			t.Fatalf("SnapshotAt(%d) refused", e)
-		}
-		if sn.NumNodes() != want.nodes || sn.NumEdges() != want.edges {
-			t.Fatalf("epoch %d: %d nodes %d edges, want %d/%d",
-				e, sn.NumNodes(), sn.NumEdges(), want.nodes, want.edges)
-		}
-	}
 }

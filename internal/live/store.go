@@ -142,33 +142,11 @@ type Config struct {
 	// records, keeping boot replay O(recent churn). 0 disables
 	// auto-compaction (Compact can still be called explicitly).
 	CompactThreshold int
-	// MemoEvery is the SnapshotAt checkpoint spacing: the store
-	// memoizes (nodes, edges) counts after every MemoEvery mutations so
-	// historical snapshots are reconstructed by scanning at most that
-	// many log records. Smaller values trade memory for faster
-	// SnapshotAt. ≤ 0 means the default (256).
-	MemoEvery int
 	// CommitBatch caps how many queued mutations one group commit may
 	// cover: one journal record group (one write, one fsync under
 	// Sync) and one published epoch per batch. ≤ 0 means the default
 	// (256).
 	CommitBatch int
-	// CommitInterval is how long the committer waits after the first
-	// queued mutation of a batch for more to accumulate before
-	// committing. 0 (the default) commits as soon as the queue drains:
-	// batching then comes only from arrival concurrency — ops that
-	// queued while the previous commit was in flight — and adds no
-	// latency. Positive values trade per-op latency for larger groups
-	// (fewer fsyncs), which matters mostly under Sync on slow disks.
-	CommitInterval time.Duration
-	// CommitAuto opens the CommitInterval batching window adaptively:
-	// the committer tracks the journal append duration (the quantity
-	// behind authteam_live_journal_append_seconds) against the mutation
-	// arrival gap, and waits for stragglers only while the append —
-	// fsync included — is the bottleneck (append EWMA > arrival-gap
-	// EWMA). Idle or append-cheap workloads keep the zero-latency
-	// fast path. Overrides CommitInterval when set.
-	CommitAuto bool
 	// Metrics registers the store's instruments — apply latency,
 	// journal append (+fsync) duration, fold duration, overlay-build
 	// time, resident log length and epoch gauges — on the given
@@ -215,20 +193,6 @@ type Store struct {
 	// and journal swap; mutators keep running under mu meanwhile).
 	compactMu sync.Mutex
 
-	// prefix memoizes (nodes, edges) counts after every memo
-	// mutations of the current log, so SnapshotAt reconstructs a
-	// historical snapshot by scanning at most memo log records
-	// past the nearest checkpoint instead of the whole prefix.
-	// Appended under mu; published to readers inside each snapshot
-	// (same structural sharing as the log), and rebuilt on re-base.
-	prefix []prefixCount
-	// memo is the checkpoint spacing (Config.MemoEvery, default
-	// memoEvery). Immutable after Open.
-	memo int
-	// lastSnapshotScan records how many log entries the most recent
-	// SnapshotAt call scanned (test observability).
-	lastSnapshotScan atomic.Int64
-
 	// Writer-side validation state, maintained so mutations are
 	// validated in O(1)/O(log) without materializing a graph. nNodes is
 	// the ID-space size (tombstoned nodes keep their slot); edgeSet
@@ -251,28 +215,16 @@ type Store struct {
 
 	// Group-commit plumbing. Mutators enqueue onto applyCh and block on
 	// a per-op future; the committer goroutine (started by Open) drains
-	// the channel in batches of up to commitBatchMax ops, waiting
-	// commitInterval after the first op of a batch for stragglers.
-	// closing gates new senders during Close; senders counts mutators
-	// between the gate check and their channel send, so Close knows
-	// when applyCh can safely be closed. committerDone is closed when
-	// the committer has drained everything and exited.
+	// the channel in batches of up to commitBatchMax ops. closing gates
+	// new senders during Close; senders counts mutators between the
+	// gate check and their channel send, so Close knows when applyCh
+	// can safely be closed. committerDone is closed when the committer
+	// has drained everything and exited.
 	applyCh        chan *applyReq
 	closing        atomic.Bool
 	senders        atomic.Int64
 	committerDone  chan struct{}
 	commitBatchMax int
-	commitInterval time.Duration
-	// Adaptive commit interval (Config.CommitAuto): EWMAs of the
-	// journal append duration and the mutation arrival gap, in
-	// nanoseconds. The committer opens a straggler window only while
-	// the append (fsync included) is the slower of the two. Sloppy
-	// lock-free updates — a lost EWMA step skews a heuristic, nothing
-	// else.
-	commitAuto    bool
-	ewmaAppendNS  atomic.Int64
-	ewmaGapNS     atomic.Int64
-	lastArrivalNS atomic.Int64
 
 	// Cluster term state (promote.go): the persisted fencing token,
 	// the epoch its lineage began at, and the demotion fence. Written
@@ -323,16 +275,6 @@ type Store struct {
 	commitHist  *obs.Histogram
 }
 
-// prefixCount is one SnapshotAt checkpoint: the graph size after the
-// first k·memoEvery logged mutations.
-type prefixCount struct {
-	nodes, edges int
-}
-
-// memoEvery is the default SnapshotAt checkpoint spacing
-// (Config.MemoEvery overrides it per store).
-const memoEvery = 256
-
 // Counters reports how many mutations of each kind the store has
 // applied (including journal replay).
 type Counters struct {
@@ -345,9 +287,8 @@ type Counters struct {
 }
 
 // countMutation folds one mutation's effect into running node/edge
-// counts — the single definition SnapshotAt's prefix scan and the
-// re-base checkpoint rebuild both apply, so the two can never drift.
-// Node removals keep their ID slot, so nodes never shrinks.
+// counts, the way stateApply moves the writer's counters. Node
+// removals keep their ID slot, so nodes never shrinks.
 func countMutation(m Mutation, nodes, edges *int) {
 	switch m.Op {
 	case OpAddNode:
@@ -379,13 +320,7 @@ func Open(base *expertgraph.Graph, cfg Config) (*Store, error) {
 	s := &Store{
 		base:           base,
 		journalPath:    cfg.JournalPath,
-		memo:           cfg.MemoEvery,
 		commitBatchMax: cfg.CommitBatch,
-		commitInterval: cfg.CommitInterval,
-		commitAuto:     cfg.CommitAuto,
-	}
-	if s.memo <= 0 {
-		s.memo = memoEvery
 	}
 	if s.commitBatchMax <= 0 {
 		s.commitBatchMax = defaultCommitBatch
@@ -637,15 +572,16 @@ func (s *Store) Epoch() uint64 { return s.snap.Load().epoch }
 // epoch is ahead of the store, or behind its base — a fold re-bases
 // history into the base graph, and pre-base epochs can no longer be
 // materialized). The mutation log is append-only, so a historical
-// snapshot is just a shorter prefix of it; the (nodes, edges) counts
-// are resumed from the nearest prefix checkpoint, making the call
-// O(memoEvery) instead of O(epoch). Used to anchor state persisted at
-// an earlier epoch (e.g. an on-disk 2-hop cover) so it can be repaired
-// forward instead of discarded.
+// snapshot is just a shorter prefix of it, and its (nodes, edges)
+// counts come from one pass over that prefix. Used to anchor state
+// persisted at an earlier epoch (e.g. an on-disk 2-hop cover) so it can
+// be repaired forward instead of discarded. The pass is bounded by the
+// resident log, which the compactor keeps to about one fold window,
+// and costs less than the index repair or rebuild that follows it.
 //
-// Everything is read from the captured snapshot — base graph, log,
-// prefix checkpoints — never from store fields, so the call is correct
-// even while a concurrent Compact re-bases the store in place.
+// Everything is read from the captured snapshot — base graph and log —
+// never from store fields, so the call is correct even while a
+// concurrent Compact re-bases the store in place.
 func (s *Store) SnapshotAt(epoch uint64) (*Snapshot, bool) {
 	cur := s.Snapshot()
 	if epoch > cur.epoch || epoch < cur.baseEpoch {
@@ -654,23 +590,14 @@ func (s *Store) SnapshotAt(epoch uint64) (*Snapshot, bool) {
 	if epoch == cur.epoch {
 		return cur, true
 	}
-	idx := int(epoch - cur.baseEpoch)
-	log := cur.log[:idx]
+	log := cur.log[:epoch-cur.baseEpoch]
 	nodes, edges := cur.base.NumNodes(), cur.base.NumEdges()
-	from := 0
-	if k := idx / s.memo; k > 0 && len(cur.prefix) >= k {
-		cp := cur.prefix[k-1]
-		nodes, edges = cp.nodes, cp.edges
-		from = k * s.memo
-	}
-	s.lastSnapshotScan.Store(int64(idx - from))
-	for _, m := range log[from:] {
+	for _, m := range log {
 		countMutation(m, &nodes, &edges)
 	}
 	sn := &Snapshot{
 		epoch: epoch, baseEpoch: cur.baseEpoch,
 		base: cur.base, log: log, nodes: nodes, edges: edges,
-		prefix:        cur.prefix[:idx/s.memo],
 		prevBaseEpoch: cur.prevBaseEpoch, prevLog: cur.prevLog, adoptions: cur.adoptions,
 		matCtr: cur.matCtr, overlayHist: cur.overlayHist,
 	}
@@ -832,9 +759,6 @@ func (s *Store) Apply(m Mutation) (expertgraph.NodeID, uint64, error) {
 	if s.applyHist != nil {
 		start = time.Now()
 	}
-	if s.commitAuto {
-		s.observeArrival()
-	}
 	s.senders.Add(1)
 	if s.closing.Load() {
 		s.senders.Add(-1)
@@ -853,10 +777,9 @@ func (s *Store) Apply(m Mutation) (expertgraph.NodeID, uint64, error) {
 // ApplyGroup enqueues ms as one contiguous run through the commit
 // pipeline and waits for all of them, returning the epoch of the last
 // applied mutation, how many applied, and the first per-op error. The
-// run shares the committer's group commits — a whole replicated batch
+// run shares the committer's group commits — a whole tail response
 // costs one (or a few) journal fsyncs and epoch publishes instead of
-// len(ms) — which is the follower-side half of batch-aware replication
-// framing. Ops are committed in order; like Apply, each op's epoch is
+// len(ms). Ops are committed in order; like Apply, each op's epoch is
 // its own. The store must not be receiving interleaved mutations from
 // other writers if the caller needs the run to be contiguous (a
 // replication follower is the intended caller, and its store has no
@@ -871,9 +794,6 @@ func (s *Store) Apply(m Mutation) (expertgraph.NodeID, uint64, error) {
 func (s *Store) ApplyGroup(ms []Mutation) (lastEpoch uint64, applied int, err error) {
 	if len(ms) == 0 {
 		return s.Epoch(), 0, nil
-	}
-	if s.commitAuto {
-		s.observeArrival()
 	}
 	s.senders.Add(1)
 	if s.closing.Load() {
@@ -900,28 +820,6 @@ func (s *Store) ApplyGroup(ms []Mutation) (lastEpoch uint64, applied int, err er
 		}
 	}
 	return lastEpoch, applied, err
-}
-
-// observeArrival folds the gap since the previous mutation arrival
-// into the arrival-gap EWMA the adaptive commit interval compares
-// against the append duration. Lock-free and sloppy by design.
-func (s *Store) observeArrival() {
-	now := time.Now().UnixNano()
-	last := s.lastArrivalNS.Swap(now)
-	if last == 0 {
-		return
-	}
-	gap := now - last
-	if gap < 0 {
-		return
-	}
-	if gap > int64(maxAutoInterval)*8 {
-		// A long idle stretch is not an arrival rate; decay toward
-		// "slow arrivals" without letting one pause dominate forever.
-		gap = int64(maxAutoInterval) * 8
-	}
-	old := s.ewmaGapNS.Load()
-	s.ewmaGapNS.Store(old + (gap-old)/4)
 }
 
 // validateMutation checks m against the writer state overlaid with sh
@@ -1040,8 +938,7 @@ func (s *Store) validateMutation(m *Mutation, sh *batchShadow, fresh bool) (expe
 }
 
 // stateApply folds one validated mutation into the writer state and
-// the append-only log, checkpointing SnapshotAt prefixes on the way.
-// It never publishes — the caller (committer batch, journal replay,
+// the append-only log. It never publishes — the caller (committer batch, journal replay,
 // follower apply) publishes once per batch. Caller holds mu.
 func (s *Store) stateApply(m Mutation) {
 	switch m.Op {
@@ -1078,9 +975,6 @@ func (s *Store) stateApply(m Mutation) {
 	// The writer only ever appends past every published length, so
 	// readers never observe a write.
 	s.log = append(s.log, m)
-	if len(s.log)%s.memo == 0 {
-		s.prefix = append(s.prefix, prefixCount{nodes: s.nNodes, edges: s.nEdges})
-	}
 }
 
 // buildSnapshotLocked assembles (without publishing) the snapshot of
@@ -1092,7 +986,6 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 		baseEpoch:     s.baseEpoch,
 		base:          s.base,
 		log:           s.log,
-		prefix:        s.prefix,
 		prevBaseEpoch: s.prevBaseEpoch,
 		prevLog:       s.prevLog,
 		adoptions:     s.baseAdoptions.Load(),
@@ -1116,8 +1009,7 @@ type Snapshot struct {
 	epoch     uint64
 	baseEpoch uint64 // epoch of base; log[i] is the mutation of epoch baseEpoch+i+1
 	base      *expertgraph.Graph
-	log       []Mutation    // the epoch−baseEpoch mutations since base
-	prefix    []prefixCount // SnapshotAt checkpoints over log (structurally shared)
+	log       []Mutation // the epoch−baseEpoch mutations since base
 	// prevBaseEpoch/prevLog retain the previous re-base generation's
 	// mutations — epochs (prevBaseEpoch, baseEpoch] — so MutationsSince
 	// can bridge exactly one re-base boundary (see Store.prevLog).

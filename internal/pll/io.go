@@ -3,7 +3,9 @@ package pll
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,53 +17,20 @@ import (
 // Index serialization: building a 2-hop cover is the expensive step, so
 // tools persist it next to the graph and reload in milliseconds.
 //
-// Version 3 (current) persists the packed label store verbatim behind
-// a magic header — one gob decode, no re-encoding pass — plus the
-// per-index fixed-point scale the distFixed payloads were quantized
-// under. Version 2 files are identical except the scale field: they
-// predate per-index scales, so every distFixed payload in them was
-// written at the old global 2^16 scale and Read pins quant to that.
-// Version 1 files — a headerless gob of the unpacked entry arrays —
-// are still readable too: Read falls back to the v1 decoder and packs
-// the entries on load, which re-runs the scale chooser.
+// The file format is version 3: a magic header, then one gob of the
+// packed label store exactly as resident in memory plus the per-index
+// fixed-point scale its distFixed payloads were quantized under. Read
+// accepts nothing else. A persisted cover is a rebuildable cache, so an
+// older version or a damaged file is an error the caller answers with a
+// rebuild. The query path decodes labels without bounds checks, so Read
+// validates every label before it adopts the bytes.
 
-// magicV2 and magicV3 prefix version-2 and version-3 files. Gob
-// streams of flatIndex cannot begin with these bytes (a gob stream
-// opens with a type-definition section whose leading bytes differ),
-// so sniffing is unambiguous.
-var (
-	magicV2 = []byte("PLLIDX02")
-	magicV3 = []byte("PLLIDX03")
-)
+// magicV3 prefixes version-3 files.
+var magicV3 = []byte("PLLIDX03")
 
-// flatIndex is the legacy version-1 serialized form: the unpacked
-// label entries as parallel rank/distance arrays, with Off counting
-// entries. All fields are exported for gob.
-type flatIndex struct {
-	Version int
-	N       int
-	Off     []int32
-	Ranks   []int32
-	Dists   []float64
-	RankOf  []int32
-	NodeAt  []expertgraph.NodeID
-}
-
-// flatIndexV2 is the version-2 serialized form: the packed label store
-// exactly as resident in memory, with Off counting bytes and every
-// distFixed payload at the fixed 2^16 scale. All fields are exported
-// for gob.
-type flatIndexV2 struct {
-	N      int
-	Total  int
-	Off    []int32
-	Data   []byte
-	RankOf []int32
-	NodeAt []expertgraph.NodeID
-}
-
-// flatIndexV3 is the version-3 serialized form: flatIndexV2 plus the
-// per-index fixed-point scale. All fields are exported for gob.
+// flatIndexV3 is the version-3 serialized form: the packed label store
+// with Off counting bytes, and the fixed-point scale. All fields are
+// exported for gob.
 type flatIndexV3 struct {
 	N      int
 	Total  int
@@ -72,7 +41,7 @@ type flatIndexV3 struct {
 	NodeAt []expertgraph.NodeID
 }
 
-// Write encodes the index to w in the current (version 3) format.
+// Write encodes the index to w in the version-3 format.
 func Write(w io.Writer, ix *Index) error {
 	if _, err := w.Write(magicV3); err != nil {
 		return fmt.Errorf("pll: encode: %w", err)
@@ -92,138 +61,102 @@ func Write(w io.Writer, ix *Index) error {
 	return nil
 }
 
-// writeV2 encodes the index in the legacy version-2 format, re-packing
-// the labels at the fixed 2^16 scale v2 readers assume. It exists so
-// the v2→v3 load path stays covered by tests; production writers
-// always emit version 3.
-func writeV2(w io.Writer, ix *Index) error {
-	f := flatIndexV2{
-		N:      ix.n,
-		Total:  ix.total,
-		Off:    make([]int32, 1, ix.n+1),
-		RankOf: ix.rankOf,
-		NodeAt: ix.nodeAt,
-	}
-	f.Data = make([]byte, 0, len(ix.data))
-	for u := 0; u < ix.n; u++ {
-		prev := int32(-1)
-		for c := ix.cursor(expertgraph.NodeID(u)); c.next(); {
-			f.Data = appendEntry(f.Data, prev, c.rank, c.dist, defaultQuantScale)
-			prev = c.rank
-		}
-		f.Off = append(f.Off, int32(len(f.Data)))
-	}
-	if _, err := w.Write(magicV2); err != nil {
-		return fmt.Errorf("pll: encode: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(&f); err != nil {
-		return fmt.Errorf("pll: encode: %w", err)
-	}
-	return nil
-}
-
-// writeV1 encodes the index in the legacy version-1 format. It exists
-// so the v1→v2 load path stays covered by tests; production writers
-// always emit version 2.
-func writeV1(w io.Writer, ix *Index) error {
-	f := flatIndex{
-		Version: 1,
-		N:       ix.n,
-		Off:     make([]int32, 1, ix.n+1),
-		Ranks:   make([]int32, 0, ix.total),
-		Dists:   make([]float64, 0, ix.total),
-		RankOf:  ix.rankOf,
-		NodeAt:  ix.nodeAt,
-	}
-	for u := 0; u < ix.n; u++ {
-		c := ix.cursor(expertgraph.NodeID(u))
-		for c.next() {
-			f.Ranks = append(f.Ranks, c.rank)
-			f.Dists = append(f.Dists, c.dist)
-		}
-		f.Off = append(f.Off, int32(len(f.Ranks)))
-	}
-	if err := gob.NewEncoder(w).Encode(&f); err != nil {
-		return fmt.Errorf("pll: encode: %w", err)
-	}
-	return nil
-}
-
-// Read decodes an index previously written with Write, accepting the
-// current version-3 format plus legacy version-2 and version-1 files.
+// Read decodes an index written by Write. Any other input, and any
+// version-3 file whose labels fail validation, is an error.
 func Read(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(magicV3))
-	if err == nil && bytes.Equal(head, magicV3) {
-		br.Discard(len(magicV3))
-		var f flatIndexV3
-		if err := gob.NewDecoder(br).Decode(&f); err != nil {
-			return nil, fmt.Errorf("pll: decode: %w", err)
-		}
-		if len(f.Off) != f.N+1 || len(f.RankOf) != f.N || len(f.NodeAt) != f.N {
-			return nil, fmt.Errorf("pll: decode: inconsistent v3 index shape")
-		}
-		if f.Quant < 1 || f.Quant != math.Trunc(f.Quant) {
-			return nil, fmt.Errorf("pll: decode: invalid v3 quant scale %v", f.Quant)
-		}
-		return &Index{
-			n:      f.N,
-			off:    f.Off,
-			data:   f.Data,
-			total:  f.Total,
-			quant:  f.Quant,
-			rankOf: f.RankOf,
-			nodeAt: f.NodeAt,
-		}, nil
+	if err != nil || !bytes.Equal(head, magicV3) {
+		return nil, errors.New("pll: decode: not a version-3 index file")
 	}
-	if err == nil && bytes.Equal(head, magicV2) {
-		br.Discard(len(magicV2))
-		var f flatIndexV2
-		if err := gob.NewDecoder(br).Decode(&f); err != nil {
-			return nil, fmt.Errorf("pll: decode: %w", err)
-		}
-		if len(f.Off) != f.N+1 || len(f.RankOf) != f.N || len(f.NodeAt) != f.N {
-			return nil, fmt.Errorf("pll: decode: inconsistent v2 index shape")
-		}
-		// v2 payloads were quantized under the then-global 2^16 scale;
-		// the data is adopted verbatim, so the scale must be too.
-		return &Index{
-			n:      f.N,
-			off:    f.Off,
-			data:   f.Data,
-			total:  f.Total,
-			quant:  defaultQuantScale,
-			rankOf: f.RankOf,
-			nodeAt: f.NodeAt,
-		}, nil
-	}
-	// No magic: a legacy v1 gob stream (or garbage — the decoder will
-	// say). The peeked bytes are still buffered, so decode through br.
-	var f flatIndex
+	br.Discard(len(magicV3))
+	var f flatIndexV3
 	if err := gob.NewDecoder(br).Decode(&f); err != nil {
 		return nil, fmt.Errorf("pll: decode: %w", err)
 	}
-	if f.Version != 1 {
-		return nil, fmt.Errorf("pll: unsupported format version %d", f.Version)
+	ix := &Index{
+		n:      f.N,
+		off:    f.Off,
+		data:   f.Data,
+		total:  f.Total,
+		quant:  f.Quant,
+		rankOf: f.RankOf,
+		nodeAt: f.NodeAt,
 	}
-	if len(f.Off) != f.N+1 || len(f.Ranks) != len(f.Dists) ||
-		len(f.RankOf) != f.N || len(f.NodeAt) != f.N {
-		return nil, fmt.Errorf("pll: decode: inconsistent v1 index shape")
+	if err := ix.validate(); err != nil {
+		return nil, fmt.Errorf("pll: decode: %w", err)
 	}
-	// Re-pack through packIndex so the scale chooser runs over the
-	// unpacked entries, exactly as a fresh build would.
-	labels := make([][]labelEntry, f.N)
-	for u := 0; u < f.N; u++ {
-		if f.Off[u] == f.Off[u+1] {
-			continue
+	return ix, nil
+}
+
+// validate checks, in one pass, everything the unchecked label
+// decoders (labelCursor, Probe) rely on: offsets that start at 0, never
+// decrease and end at the end of the label store; labels that decode
+// inside their own byte range into strictly increasing ranks below n,
+// with every payload in range and every float distance non-negative;
+// an entry count equal to total; a power-of-two scale of at least 1;
+// and rankOf and nodeAt inverse permutations of 0..n-1.
+func (ix *Index) validate() error {
+	n := ix.n
+	if n < 0 || len(ix.off) != n+1 || len(ix.rankOf) != n || len(ix.nodeAt) != n {
+		return errors.New("inconsistent index shape")
+	}
+	if frac, _ := math.Frexp(ix.quant); !(ix.quant >= 1) || frac != 0.5 {
+		return fmt.Errorf("invalid quant scale %v", ix.quant)
+	}
+	if ix.off[0] != 0 || int(ix.off[n]) != len(ix.data) {
+		return errors.New("label offsets do not span the label store")
+	}
+	entries := 0
+	for u := 0; u < n; u++ {
+		pos, end := int(ix.off[u]), int(ix.off[u+1])
+		if end < pos || end > len(ix.data) {
+			return fmt.Errorf("label offsets out of order at node %d", u)
 		}
-		l := make([]labelEntry, 0, f.Off[u+1]-f.Off[u])
-		for i := f.Off[u]; i < f.Off[u+1]; i++ {
-			l = append(l, labelEntry{rank: f.Ranks[i], dist: f.Dists[i]})
+		label := ix.data[:end]
+		rank := -1
+		for pos < end {
+			h, k := binary.Uvarint(label[pos:])
+			if k <= 0 {
+				return fmt.Errorf("node %d: truncated label entry", u)
+			}
+			pos += k
+			delta := h >> 2
+			if delta == 0 || delta >= uint64(n-rank) {
+				return fmt.Errorf("node %d: label rank out of order or range", u)
+			}
+			rank += int(delta)
+			switch h & 3 {
+			case distZero:
+			case distFixed:
+				_, k := binary.Uvarint(label[pos:])
+				if k <= 0 {
+					return fmt.Errorf("node %d: truncated fixed-point distance", u)
+				}
+				pos += k
+			case distFloat:
+				if end-pos < 8 {
+					return fmt.Errorf("node %d: truncated float distance", u)
+				}
+				if d := math.Float64frombits(binary.LittleEndian.Uint64(label[pos:])); !(d >= 0) {
+					return fmt.Errorf("node %d: invalid distance %v", u, d)
+				}
+				pos += 8
+			default:
+				return fmt.Errorf("node %d: unknown distance kind", u)
+			}
+			entries++
 		}
-		labels[u] = l
 	}
-	return packIndex(labels, f.RankOf, f.NodeAt), nil
+	if entries != ix.total {
+		return fmt.Errorf("%d label entries, header says %d", entries, ix.total)
+	}
+	for u, r := range ix.rankOf {
+		if r < 0 || int(r) >= n || ix.nodeAt[r] != expertgraph.NodeID(u) {
+			return errors.New("rank permutation is not a bijection")
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the index to path.

@@ -126,34 +126,6 @@ func TestDynamicRoundTripPacked(t *testing.T) {
 	}
 }
 
-// TestReadV1Format proves legacy (version 1, unpacked gob) index files
-// still load, answering identical distances to the index that wrote
-// them.
-func TestReadV1Format(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	g := randomGraph(rng, 40, 80)
-	ix := Build(g)
-	var buf bytes.Buffer
-	if err := writeV1(&buf, ix); err != nil {
-		t.Fatalf("writeV1: %v", err)
-	}
-	loaded, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read v1: %v", err)
-	}
-	if !indexesIdentical(ix, loaded) {
-		t.Fatal("v1 load did not reconstruct the packed index")
-	}
-	for trial := 0; trial < 200; trial++ {
-		u := expertgraph.NodeID(rng.Intn(40))
-		v := expertgraph.NodeID(rng.Intn(40))
-		d1, d2 := ix.Dist(u, v), loaded.Dist(u, v)
-		if d1 != d2 && !(math.IsInf(d1, 1) && math.IsInf(d2, 1)) {
-			t.Fatalf("v1 round-trip distance mismatch at (%d,%d): %v vs %v", u, v, d1, d2)
-		}
-	}
-}
-
 // TestQuantChooser pins the per-index scale chooser on hand-built
 // entry sets where the best scale is known.
 func TestQuantChooser(t *testing.T) {
@@ -234,34 +206,5 @@ func TestQuantLargeDistancesPackFixed(t *testing.T) {
 	}
 	if !indexesIdentical(ix, loaded) {
 		t.Fatal("v3 round trip changed the index")
-	}
-}
-
-// TestReadV2Format proves version-2 files (fixed 2^16 scale, no quant
-// field) still load: the packed bytes are adopted verbatim with the
-// scale pinned to the legacy constant, and distances stay bit-exact.
-func TestReadV2Format(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	g := randomGraph(rng, 40, 80)
-	ix := Build(g)
-	var buf bytes.Buffer
-	if err := writeV2(&buf, ix); err != nil {
-		t.Fatalf("writeV2: %v", err)
-	}
-	loaded, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read v2: %v", err)
-	}
-	if loaded.quant != defaultQuantScale {
-		t.Fatalf("v2 load quant = %v, want legacy %v", loaded.quant, float64(defaultQuantScale))
-	}
-	for trial := 0; trial < 200; trial++ {
-		u := expertgraph.NodeID(rng.Intn(40))
-		v := expertgraph.NodeID(rng.Intn(40))
-		d1, d2 := ix.Dist(u, v), loaded.Dist(u, v)
-		if math.Float64bits(d1) != math.Float64bits(d2) &&
-			!(math.IsInf(d1, 1) && math.IsInf(d2, 1)) {
-			t.Fatalf("v2 round-trip distance mismatch at (%d,%d): %v vs %v", u, v, d1, d2)
-		}
 	}
 }

@@ -406,8 +406,8 @@ func (c *labelCursor) next() bool {
 
 // uvarint decodes an unsigned varint at c.pos, advancing it. Inlined
 // by hand (rather than binary.Uvarint) because it sits on the Dist hot
-// path; packed data is produced only by appendEntry, so the encoding
-// is trusted.
+// path. Packed data comes from appendEntry or from a file Read has
+// validated, so the encoding is trusted.
 func (c *labelCursor) uvarint() uint64 {
 	var v uint64
 	var shift uint

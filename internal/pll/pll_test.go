@@ -231,6 +231,44 @@ func TestReadGarbage(t *testing.T) {
 	}
 }
 
+// FuzzRead feeds arbitrary bytes to Read. Read must never panic, and
+// any index it returns must answer Dist, LabelSize and probe queries
+// for every node pair without panicking: the query path decodes labels
+// without bounds checks, so Read is where damaged files must stop. The
+// seeds are a valid file for a 40-node index, the same file cut in
+// half, and the same file with bit 7 of its 86th-last byte flipped,
+// which keeps the gob well-formed but runs a label past the end of the
+// label store.
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, Build(randomGraph(rand.New(rand.NewSource(42)), 40, 80))); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-86] ^= 0x80
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := ix.NumNodes()
+		p := ix.NewProbe()
+		for u := 0; u < n; u++ {
+			ix.LabelSize(expertgraph.NodeID(u))
+			p.Source(expertgraph.NodeID(u))
+			for v := 0; v < n; v++ {
+				ix.Dist(expertgraph.NodeID(u), expertgraph.NodeID(v))
+				p.To(expertgraph.NodeID(v))
+			}
+		}
+	})
+}
+
 func TestEmptyGraphIndex(t *testing.T) {
 	g, err := expertgraph.NewBuilder(0, 0).Build()
 	if err != nil {

@@ -19,9 +19,9 @@ import (
 // the rejected peer can tell "I am stale" from "the source is stale".
 const TermHeader = "X-Authteam-Term"
 
-// HTTPSource implements live.ReplicationSource (and live.GroupedSource)
-// against a leader's /v1/journal endpoints. It is safe for concurrent
-// use, though the follower loop drives it from a single goroutine.
+// HTTPSource implements live.ReplicationSource against a leader's
+// /v1/journal endpoints. It is safe for concurrent use, though the
+// follower loop drives it from a single goroutine.
 type HTTPSource struct {
 	base string
 	hc   *http.Client
@@ -78,7 +78,7 @@ const waitMargin = 2 * time.Second
 // the next poll resumes from wherever it ended. A 412 fence comes back
 // as a *live.FencedError carrying the source's term.
 func (s *HTTPSource) Tail(ctx context.Context, from uint64, max int) ([]live.Mutation, uint64, error) {
-	resp, err := s.tailRequest(ctx, from, max, false)
+	resp, err := s.tailRequest(ctx, from, max)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -92,34 +92,24 @@ func (s *HTTPSource) Tail(ctx context.Context, from uint64, max int) ([]live.Mut
 	return muts, hdr.Epoch, nil
 }
 
-// TailGroups is Tail with commit-batch boundaries preserved: it asks
-// the source for group framing (groups=1) and decodes the grouped
-// stream. Against an old server that ignores the parameter, the flat
-// response decodes as singleton groups — same records, no batching
-// win, no error. Implements live.GroupedSource.
+// TailGroups is Tail returning the response as one group. Nothing in
+// this module calls it; it exists because the serving benchmark module
+// (servebench) wraps it to satisfy live.GroupedSource.
 func (s *HTTPSource) TailGroups(ctx context.Context, from uint64, max int) ([][]live.Mutation, uint64, error) {
-	resp, err := s.tailRequest(ctx, from, max, true)
-	if err != nil {
-		return nil, 0, err
+	muts, epoch, err := s.Tail(ctx, from, max)
+	if len(muts) == 0 {
+		return nil, epoch, err
 	}
-	defer drainClose(resp.Body)
-	groups, hdr, rerr := ReadTailGroups(resp.Body)
-	if rerr != nil && len(groups) == 0 {
-		return nil, 0, rerr
-	}
-	return groups, hdr.Epoch, nil
+	return [][]live.Mutation{muts}, epoch, err
 }
 
 // tailRequest builds, sends, and status-checks one tail long-poll,
 // returning the 200 response with its body still open.
-func (s *HTTPSource) tailRequest(ctx context.Context, from uint64, max int, grouped bool) (*http.Response, error) {
+func (s *HTTPSource) tailRequest(ctx context.Context, from uint64, max int) (*http.Response, error) {
 	q := url.Values{}
 	q.Set("from", strconv.FormatUint(from, 10))
 	if max > 0 {
 		q.Set("max", strconv.Itoa(max))
-	}
-	if grouped {
-		q.Set("groups", "1")
 	}
 	if s.termFn != nil {
 		if term := s.termFn(); term > 0 {

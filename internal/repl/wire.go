@@ -33,27 +33,11 @@ import (
 // idle long-poll returns just the header.
 //
 // The leader's group commit writes each batch as plain consecutive
-// records, so batches never appear on the wire by default — this codec
-// predates group commit and did not have to change for it. Any node
-// serving the journal endpoints speaks this format, which is what lets
-// a follower relay the stream to second-tier followers.
-//
-// A peer that wants the batch boundaries back asks with `groups=1` and
-// gets interleaved group-header lines:
-//
-//	{"journal_start":41,"epoch":45,"term":3}
-//	{"group":2}
-//	{"op":"add_node",...}              <- epoch 42
-//	{"op":"add_edge",...}              <- epoch 43
-//	{"group":1}
-//	{"op":"update_node",...}           <- epoch 44
-//
-// Group lines have no "op" key, so a grouped stream is NOT readable by
-// the plain ReadTail — that is why grouping is strictly opt-in: a peer
-// only receives group lines if it asked for them, and an old server
-// that does not understand `groups=1` ignores the parameter and sends
-// the flat form, which ReadTailGroups accepts by treating every record
-// as its own singleton group.
+// records, so batches never appear on the wire. A follower commits each
+// tail response as one group, so the response boundary is the only
+// batch boundary it needs. Any node serving the journal endpoints
+// speaks this format, which is what lets a follower relay the stream
+// to second-tier followers.
 
 // TailHeader is the first line of a tail response.
 type TailHeader struct {
@@ -70,12 +54,6 @@ type TailHeader struct {
 	Term uint64 `json:"term,omitempty"`
 }
 
-// groupHeader is an interleaved batch-boundary line in a grouped tail
-// stream: the next N record lines form one commit batch.
-type groupHeader struct {
-	Group int `json:"group"`
-}
-
 // ErrTruncatedTail reports a tail stream that ended mid-record — a
 // disconnect while the response was being written. The records parsed
 // before the tear are still returned; the caller applies them and
@@ -86,7 +64,7 @@ var ErrTruncatedTail = errors.New("repl: tail stream truncated mid-record")
 // incident edge, so lines can be large but not unbounded.
 const maxTailLine = 16 << 20
 
-// WriteTail encodes a flat tail batch onto w.
+// WriteTail encodes a tail batch onto w.
 func WriteTail(w io.Writer, from, epoch, term uint64, muts []live.Mutation) error {
 	bw := bufio.NewWriter(w)
 	if err := writeTailHeader(bw, from, epoch, term); err != nil {
@@ -95,39 +73,6 @@ func WriteTail(w io.Writer, from, epoch, term uint64, muts []live.Mutation) erro
 	for i := range muts {
 		if err := writeTailRecord(bw, &muts[i]); err != nil {
 			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("repl: write tail: %w", err)
-	}
-	return nil
-}
-
-// WriteTailGroups encodes a grouped tail batch onto w: each inner slice
-// is one commit batch, framed by a {"group":N} line. Only send this to
-// a peer that asked for it (groups=1) — the group lines are not valid
-// records for the plain decoder.
-func WriteTailGroups(w io.Writer, from, epoch, term uint64, groups [][]live.Mutation) error {
-	bw := bufio.NewWriter(w)
-	if err := writeTailHeader(bw, from, epoch, term); err != nil {
-		return err
-	}
-	for _, grp := range groups {
-		if len(grp) == 0 {
-			continue
-		}
-		hdr, err := json.Marshal(groupHeader{Group: len(grp)})
-		if err != nil {
-			return fmt.Errorf("repl: encode group header: %w", err)
-		}
-		hdr = append(hdr, '\n')
-		if _, err := bw.Write(hdr); err != nil {
-			return fmt.Errorf("repl: write tail: %w", err)
-		}
-		for i := range grp {
-			if err := writeTailRecord(bw, &grp[i]); err != nil {
-				return err
-			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -207,84 +152,6 @@ func ReadTail(r io.Reader) ([]live.Mutation, TailHeader, error) {
 			return muts, hdr, nil
 		}
 	}
-}
-
-// ReadTailGroups decodes a tail stream preserving commit-batch
-// boundaries. Grouped streams (group-header framing) come back as one
-// inner slice per batch; a flat stream — an old server that ignored
-// `groups=1` — decodes as one singleton group per record, so the
-// caller's apply loop is oblivious to which kind of peer it talked to.
-// A stream cut mid-record returns every complete record parsed so far
-// (the torn group trimmed to its parsed prefix — safe, since records
-// are individually atomic and grouping is only a batching hint)
-// together with ErrTruncatedTail.
-func ReadTailGroups(r io.Reader) ([][]live.Mutation, TailHeader, error) {
-	var (
-		hdr    TailHeader
-		groups [][]live.Mutation
-		// remaining counts record lines still owed to the open group;
-		// 0 means the next record starts its own singleton group.
-		remaining int
-	)
-	br := bufio.NewReaderSize(r, 64<<10)
-	first := true
-	for {
-		line, err := readLine(br)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return trimEmptyGroup(groups), hdr, fmt.Errorf("%w: %v", ErrTruncatedTail, err)
-		}
-		eof := errors.Is(err, io.EOF)
-		complete := !eof
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) > 0 {
-			if !complete {
-				return trimEmptyGroup(groups), hdr, ErrTruncatedTail
-			}
-			if first {
-				if jerr := json.Unmarshal(trimmed, &hdr); jerr != nil || hdr.JournalStart == nil {
-					return nil, hdr, fmt.Errorf("repl: tail stream has no header: %q", previewLine(trimmed))
-				}
-				first = false
-			} else {
-				var m live.Mutation
-				if jerr := json.Unmarshal(trimmed, &m); jerr == nil && m.Op != "" {
-					if remaining > 0 {
-						groups[len(groups)-1] = append(groups[len(groups)-1], m)
-						remaining--
-					} else {
-						groups = append(groups, []live.Mutation{m})
-					}
-				} else {
-					var gh groupHeader
-					if jerr := json.Unmarshal(trimmed, &gh); jerr != nil || gh.Group <= 0 {
-						return trimEmptyGroup(groups), hdr, ErrTruncatedTail
-					}
-					groups = append(groups, make([]live.Mutation, 0, gh.Group))
-					remaining = gh.Group
-				}
-			}
-		}
-		if eof {
-			if first {
-				return nil, hdr, ErrTruncatedTail
-			}
-			if remaining > 0 {
-				// Clean EOF but the open group is owed records: the
-				// stream tore between records of a batch.
-				return trimEmptyGroup(groups), hdr, ErrTruncatedTail
-			}
-			return trimEmptyGroup(groups), hdr, nil
-		}
-	}
-}
-
-// trimEmptyGroup drops a trailing group that never received a record —
-// a stream torn between a group header and its first record.
-func trimEmptyGroup(groups [][]live.Mutation) [][]live.Mutation {
-	if n := len(groups); n > 0 && len(groups[n-1]) == 0 {
-		return groups[:n-1]
-	}
-	return groups
 }
 
 // readLine reads one '\n'-terminated line of bounded length. io.EOF

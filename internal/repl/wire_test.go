@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -126,99 +127,56 @@ func TestTailGarbageRecord(t *testing.T) {
 	}
 }
 
-// TestTailGroupsRoundTrip checks the batch-framed stream: commit-batch
-// boundaries survive the wire, empty groups are elided, and the term
-// rides the header.
-func TestTailGroupsRoundTrip(t *testing.T) {
-	in := sampleMutations()
-	groups := [][]live.Mutation{in[:2], nil, in[2:4], in[4:]}
-	var buf bytes.Buffer
-	if err := WriteTailGroups(&buf, 7, 12, 9, groups); err != nil {
-		t.Fatal(err)
+// FuzzReadTail feeds arbitrary bytes to the tail decoder, which reads
+// every replication response. Decoding must never panic, and whatever
+// records it returns must survive a WriteTail/ReadTail round trip
+// unchanged. The seeds are a clean stream, a header-only stream, a
+// three-record stream cut at every byte offset, and a {"group":N} line
+// with a huge N, as a peer speaking the grouped framing may send: the
+// decoder must treat it as a torn record, never size anything by N.
+func FuzzReadTail(f *testing.F) {
+	var clean, empty, three bytes.Buffer
+	if err := WriteTail(&clean, 7, 12, 3, sampleMutations()); err != nil {
+		f.Fatal(err)
 	}
-	out, hdr, err := ReadTailGroups(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if err := WriteTail(&empty, 42, 42, 0, nil); err != nil {
+		f.Fatal(err)
 	}
-	if hdr.Epoch != 12 || hdr.Term != 9 {
-		t.Fatalf("header %+v, want epoch 12 term 9", hdr)
+	if err := WriteTail(&three, 0, 3, 1, sampleMutations()[:3]); err != nil {
+		f.Fatal(err)
 	}
-	want := [][]live.Mutation{in[:2], in[2:4], in[4:]}
-	if len(out) != len(want) {
-		t.Fatalf("%d groups out, want %d (empty group elided)", len(out), len(want))
+	f.Add(clean.Bytes())
+	f.Add(empty.Bytes())
+	for cut := 0; cut <= three.Len(); cut++ {
+		f.Add(three.Bytes()[:cut])
 	}
-	for gi, g := range want {
-		if len(out[gi]) != len(g) {
-			t.Fatalf("group %d: %d records, want %d", gi, len(out[gi]), len(g))
-		}
-		for i := range g {
-			if out[gi][i].Op != g[i].Op || out[gi][i].U != g[i].U || out[gi][i].V != g[i].V {
-				t.Fatalf("group %d record %d: %+v != %+v", gi, i, out[gi][i], g[i])
-			}
-		}
-	}
-}
+	f.Add([]byte(`{"journal_start":0,"epoch":1}` + "\n" + `{"group":1099511627776}` + "\n" +
+		`{"op":"add_edge","u":1,"v":2,"w":0.5}` + "\n"))
 
-// TestTailGroupsFlatFallback runs a plain (ungrouped) stream through
-// ReadTailGroups: an old leader ignoring groups=1 must decode as
-// singleton groups — same records, no error.
-func TestTailGroupsFlatFallback(t *testing.T) {
-	in := sampleMutations()
-	var buf bytes.Buffer
-	if err := WriteTail(&buf, 0, 5, 2, in); err != nil {
-		t.Fatal(err)
-	}
-	out, hdr, err := ReadTailGroups(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Term != 2 {
-		t.Fatalf("term %d, want 2", hdr.Term)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("%d groups from a flat stream, want %d singletons", len(out), len(in))
-	}
-	for i, g := range out {
-		if len(g) != 1 || g[0].Op != in[i].Op {
-			t.Fatalf("group %d: %+v, want singleton %+v", i, g, in[i])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, hdr, err := ReadTail(bytes.NewReader(data))
+		if err != nil && !errors.Is(err, ErrTruncatedTail) && len(out) != 0 {
+			t.Fatalf("header error %v came with %d records", err, len(out))
 		}
-	}
-}
-
-// TestTailGroupsTorn cuts a grouped stream at every byte offset: the
-// reader must return only whole-record prefixes with ErrTruncatedTail,
-// never a phantom record, and a group cut mid-way keeps its complete
-// prefix (the follower re-polls from the tear; atomicity of the batch
-// is the applier's concern, not the codec's).
-func TestTailGroupsTorn(t *testing.T) {
-	in := sampleMutations()
-	groups := [][]live.Mutation{in[:3], in[3:]}
-	var buf bytes.Buffer
-	if err := WriteTailGroups(&buf, 0, uint64(len(in)), 1, groups); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	headerLen := bytes.IndexByte(whole, '\n') + 1
-
-	for cut := 0; cut < len(whole); cut++ {
-		out, _, err := ReadTailGroups(bytes.NewReader(whole[:cut]))
-		if cut <= headerLen {
-			if err == nil && cut < headerLen {
-				t.Fatalf("cut %d: torn header accepted", cut)
-			}
-			continue
+		var from uint64
+		if hdr.JournalStart != nil {
+			from = *hdr.JournalStart
 		}
-		if err != nil && !errors.Is(err, ErrTruncatedTail) {
-			t.Fatalf("cut %d: %v, want ErrTruncatedTail or nil", cut, err)
+		var buf bytes.Buffer
+		if err := WriteTail(&buf, from, hdr.Epoch, hdr.Term, out); err != nil {
+			t.Fatalf("re-encode %d records: %v", len(out), err)
 		}
-		flat := 0
-		for gi, g := range out {
-			for _, m := range g {
-				if flat >= len(in) || m.Op != in[flat].Op {
-					t.Fatalf("cut %d group %d: unexpected record %+v", cut, gi, m)
-				}
-				flat++
-			}
+		again, hdr2, err := ReadTail(&buf)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
 		}
-	}
+		if *hdr2.JournalStart != from || hdr2.Epoch != hdr.Epoch || hdr2.Term != hdr.Term {
+			t.Fatalf("header %+v came back as %+v", hdr, hdr2)
+		}
+		want, _ := json.Marshal(out)
+		got, _ := json.Marshal(again)
+		if !bytes.Equal(want, got) {
+			t.Fatalf("records changed in a round trip:\n%s\n%s", want, got)
+		}
+	})
 }

@@ -19,14 +19,8 @@ import (
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
-	// compactFactor scales the per-epoch key-list compaction threshold:
-	// the list is swept of LRU-evicted keys once it reaches
-	// compactFactor×capacity entries. Higher factors sweep less often
-	// (cheaper steady state, more idle memory); lower factors bound idle
-	// memory tighter at the cost of more frequent sweeps.
-	compactFactor int
-	ll            *list.List
-	items         map[string]*list.Element
+	ll       *list.List
+	items    map[string]*list.Element
 	// epochKeys tracks the keys inserted per epoch so EvictBefore is
 	// O(evicted), not O(cache size).
 	epochKeys      map[uint64][]string
@@ -41,20 +35,18 @@ type lruEntry struct {
 	val   *DiscoverResponse
 }
 
+// epochKeysSweep is how many times the capacity one epoch's key list
+// may grow to before Put sweeps it of LRU-evicted keys.
+const epochKeysSweep = 2
+
 // newLRU creates a cache holding up to capacity entries. A capacity
-// < 1 disables caching: Get always misses and Put is a no-op. A
-// compactFactor < 1 takes the default of 2 (sweep the per-epoch key
-// list once it doubles the capacity).
-func newLRU(capacity, compactFactor int) *lruCache {
-	if compactFactor < 1 {
-		compactFactor = 2
-	}
+// < 1 disables caching: Get always misses and Put is a no-op.
+func newLRU(capacity int) *lruCache {
 	return &lruCache{
-		capacity:      capacity,
-		compactFactor: compactFactor,
-		ll:            list.New(),
-		items:         make(map[string]*list.Element),
-		epochKeys:     make(map[uint64][]string),
+		capacity:  capacity,
+		ll:        list.New(),
+		items:     make(map[string]*list.Element),
+		epochKeys: make(map[uint64][]string),
 	}
 }
 
@@ -96,7 +88,7 @@ func (c *lruCache) Put(key string, epoch uint64, val *DiscoverResponse) {
 	// eagerly would be a linear scan per eviction); compact the list
 	// once it clearly outgrows the live set, so a mutation-free epoch
 	// with heavy query churn cannot grow it without bound.
-	if keys := c.epochKeys[epoch]; len(keys) >= c.compactFactor*c.capacity {
+	if keys := c.epochKeys[epoch]; len(keys) >= epochKeysSweep*c.capacity {
 		live := keys[:0]
 		for _, k := range keys {
 			if _, ok := c.items[k]; ok {

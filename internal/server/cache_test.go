@@ -10,7 +10,7 @@ func resp(tag string) *DiscoverResponse {
 }
 
 func TestLRUBasic(t *testing.T) {
-	c := newLRU(2, 0)
+	c := newLRU(2)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -26,7 +26,7 @@ func TestLRUBasic(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2, 0)
+	c := newLRU(2)
 	c.Put("a", 0, resp("a"))
 	c.Put("b", 0, resp("b"))
 	c.Get("a") // promote a; b is now LRU
@@ -45,7 +45,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRUUpdateExisting(t *testing.T) {
-	c := newLRU(2, 0)
+	c := newLRU(2)
 	c.Put("a", 0, resp("old"))
 	c.Put("a", 0, resp("new"))
 	got, ok := c.Get("a")
@@ -58,7 +58,7 @@ func TestLRUUpdateExisting(t *testing.T) {
 }
 
 func TestLRUDisabled(t *testing.T) {
-	c := newLRU(0, 0)
+	c := newLRU(0)
 	c.Put("a", 0, resp("a"))
 	if _, ok := c.Get("a"); ok {
 		t.Error("disabled cache returned a hit")
@@ -69,7 +69,7 @@ func TestLRUDisabled(t *testing.T) {
 }
 
 func TestLRUChurn(t *testing.T) {
-	c := newLRU(8, 0)
+	c := newLRU(8)
 	for i := 0; i < 100; i++ {
 		c.Put(fmt.Sprintf("k%d", i), 0, resp("x"))
 	}
@@ -92,7 +92,7 @@ func TestLRUChurn(t *testing.T) {
 // mutation-free epoch with heavy query churn grows it without bound.
 func TestLRUEpochKeyCompaction(t *testing.T) {
 	const capacity = 8
-	c := newLRU(capacity, 0)
+	c := newLRU(capacity)
 	// 10× capacity inserts in one epoch: all but the last 8 are
 	// LRU-evicted, and the key list crosses the 2×-capacity compaction
 	// threshold repeatedly.

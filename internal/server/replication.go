@@ -35,9 +35,10 @@ import (
 // is a 412 carrying our own, lower term — which the requester reads as
 // "source is stale", not as a fence on itself.
 //
-// With `groups=1` the response frames the batch with group headers so
-// the follower applies it as one group commit (see repl wire docs);
-// old peers never ask and get the flat stream.
+// The response is the flat stream (a header line, then one record per
+// line), and the follower commits it as one group. A follower that
+// still asks for `groups=1` gets the same stream, which its grouped
+// decoder reads as one group per record.
 
 // maxTailBatch caps the records of one tail response regardless of the
 // requested max, bounding the response a slow reader pins in memory.
@@ -148,17 +149,6 @@ func (s *Server) handleJournalTail(w http.ResponseWriter, r *http.Request) {
 	// Past this point the stream is committed; a write failure tears
 	// the tail mid-record, which the follower-side codec treats as a
 	// disconnect (apply the prefix, re-poll), not corruption.
-	if q.Get("groups") != "" {
-		// Batch-aware framing: the whole tail batch is one group, so
-		// the follower lands it as a single group commit (one journal
-		// append + one epoch publish) instead of len(muts) of each.
-		var groups [][]live.Mutation
-		if len(muts) > 0 {
-			groups = [][]live.Mutation{muts}
-		}
-		_ = repl.WriteTailGroups(w, from, epoch, curTerm, groups)
-		return
-	}
 	_ = repl.WriteTail(w, from, epoch, curTerm, muts)
 }
 

@@ -103,31 +103,10 @@ type Config struct {
 	// delta (hub removal) injects into the request path. 0 disables
 	// the cap.
 	RepairVisitBudget int
-	// MemoEvery is the spacing of the store's reconstruction
-	// checkpoints (live.Config.MemoEvery); ≤ 0 keeps the default (256).
-	// Smaller values trade memory for faster SnapshotAt on deep
-	// histories.
-	MemoEvery int
 	// CommitBatch caps how many queued mutations the store's group
 	// committer covers with one journal write + epoch publish
 	// (live.Config.CommitBatch); ≤ 0 keeps the default (256).
 	CommitBatch int
-	// CommitInterval makes the group committer wait this long after a
-	// batch's first mutation for stragglers before committing — fewer
-	// fsyncs under JournalSync at the cost of per-op latency. 0 (the
-	// default) commits as soon as the queue drains.
-	CommitInterval time.Duration
-	// CommitAuto replaces the fixed CommitInterval with an adaptive
-	// straggler window: the committer opens a batching window only
-	// while journal appends are slower than mutation arrivals (fsync is
-	// the bottleneck), and otherwise commits immediately. Overrides
-	// CommitInterval when set.
-	CommitAuto bool
-	// CacheCompactFactor scales the result cache's per-epoch key-list
-	// compaction threshold (sweep at factor×CacheSize dead keys; < 1
-	// means the default of 2). Larger factors sweep less often at the
-	// cost of more idle memory.
-	CacheCompactFactor int
 	// FollowURL turns the server into a read replica of the leader at
 	// this base URL: the store is bootstrapped from the leader's
 	// replication log (base snapshot + journal tail), kept current by a
@@ -341,10 +320,7 @@ func New(cfg Config) (*Server, error) {
 		JournalPath:      cfg.JournalPath,
 		Sync:             cfg.JournalSync,
 		CompactThreshold: cfg.CompactThreshold,
-		MemoEvery:        cfg.MemoEvery,
 		CommitBatch:      cfg.CommitBatch,
-		CommitInterval:   cfg.CommitInterval,
-		CommitAuto:       cfg.CommitAuto,
 		Metrics:          storeReg,
 	})
 	if err != nil {
@@ -358,7 +334,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		store:   store,
 		indexes: newIndexSet(base, store, cfg.RepairBudget, cfg.RepairVisitBudget, cfg.Workers, deepReg),
-		cache:   newLRU(cfg.CacheSize, cfg.CacheCompactFactor),
+		cache:   newLRU(cfg.CacheSize),
 		metrics: newMetrics(reg),
 		obs:     reg,
 		observe: !cfg.NoObserve,
@@ -464,8 +440,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FollowURL != "" {
 		// The source claims this store's term on every tail, so a
 		// superseded upstream fences us (and we stop, demoted) instead
-		// of feeding us a stale lineage; group framing lets a whole
-		// upstream batch land as one local group commit.
+		// of feeding us a stale lineage.
 		src := repl.NewHTTPSource(cfg.FollowURL, nil).WithTerm(store.Term).Instrument(storeReg)
 		s.follower = live.StartFollower(store, src, live.FollowerConfig{
 			PollTimeout: cfg.FollowPoll,

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -463,6 +464,129 @@ func TestStaleIndexDetected(t *testing.T) {
 	status, data := postJSON(t, ts.URL+"/v1/discover", `{"skills": ["analytics", "communities"]}`)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
+	}
+}
+
+// coverFile mirrors the fields of a persisted 2-hop cover file (gob
+// matches fields by name), so a test can write damaged or outdated
+// covers without the pll package's writer.
+type coverFile struct {
+	N      int
+	Total  int
+	Quant  float64
+	Off    []int32
+	Data   []byte
+	RankOf []int32
+	NodeAt []expertgraph.NodeID
+}
+
+// coverFileV2 is the version-2 layout: no fixed-point scale.
+type coverFileV2 struct {
+	N      int
+	Total  int
+	Off    []int32
+	Data   []byte
+	RankOf []int32
+	NodeAt []expertgraph.NodeID
+}
+
+func encodeCover(t *testing.T, magic string, f any) []byte {
+	t.Helper()
+	buf := bytes.NewBufferString(magic)
+	if err := gob.NewEncoder(buf).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBootRebuildsUnreadableIndex boots with an unreadable cover file
+// next to the graph: a current-format file whose label store was cut
+// in half, a version-2 file, and garbage. Each boot must come up,
+// rebuild the index once (full_rebuilds 1), and serve the same teams
+// as a cold start. The cut label store keeps the file's shape valid,
+// so only label validation keeps it out of the warm-index spot check,
+// whose unchecked decoder would index past the store.
+func TestBootRebuildsUnreadableIndex(t *testing.T) {
+	g := synthGraph(t)
+	path := filepath.Join(t.TempDir(), "graph.bin")
+	if err := expertgraph.SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(g, 11, workload.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies []string
+	for i, method := range []string{"ca-cc", "sa-ca-cc", "ca-cc", "sa-ca-cc"} {
+		project, err := gen.Project(2 + i%2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(project))
+		for j, id := range project {
+			names[j] = g.SkillName(id)
+		}
+		payload, _ := json.Marshal(DiscoverRequest{Skills: names, Method: method, K: 2})
+		bodies = append(bodies, string(payload))
+	}
+	// boot starts a warm server over path and returns its full_rebuilds
+	// count and the teams it serves for every body.
+	boot := func(t *testing.T) (uint64, []string) {
+		t.Helper()
+		s, err := New(Config{GraphPath: path, Workers: 2, WarmIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		rebuilds := getStats(t, ts.URL).Live.FullRebuilds
+		var teams []string
+		for _, body := range bodies {
+			status, data := postJSON(t, ts.URL+"/v1/discover", body)
+			if status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, data)
+			}
+			out, _ := json.Marshal(decodeDiscover(t, data).Teams)
+			teams = append(teams, string(out))
+		}
+		return rebuilds, teams
+	}
+
+	_, want := boot(t)
+	indexPath := path + ".pll-g0.6"
+	valid, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatalf("cold start persisted no index: %v", err)
+	}
+	var f coverFile
+	if err := gob.NewDecoder(bytes.NewReader(valid[len("PLLIDX03"):])).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	cut := f
+	cut.Data = f.Data[:len(f.Data)/2]
+	files := map[string][]byte{
+		"damaged": encodeCover(t, "PLLIDX03", cut),
+		"v2": encodeCover(t, "PLLIDX02", coverFileV2{
+			N: f.N, Total: f.Total, Off: f.Off, Data: f.Data, RankOf: f.RankOf, NodeAt: f.NodeAt,
+		}),
+		"garbage": []byte("not a 2-hop cover\n"),
+	}
+	for name, data := range files {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(indexPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rebuilds, got := boot(t)
+			if rebuilds != 1 {
+				t.Fatalf("full_rebuilds = %d at boot, want 1", rebuilds)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("request %s: teams %s, cold start served %s", bodies[i], got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
