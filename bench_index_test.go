@@ -5,9 +5,11 @@
 // and 4 workers (each build is bit-identical to the sequential one by
 // construction — the differential tests in internal/pll pin that) and
 // emits one BENCH_index.json line with the rebuild walls and the
-// 4-worker speedup, the packed vs unpacked label bytes with the
-// shrink percentage, and the discover p50 over the packed index — the
-// three acceptance numbers of the parallel-build work in one record.
+// 4-worker speedup, the 2-worker build's rank blocks and the ranks it
+// redid serially because an earlier rank of their block covered their
+// candidates (the contamination the block sizes follow), the packed vs
+// unpacked label bytes with the shrink percentage, and the discover
+// p50 over the packed index.
 package authteam_test
 
 import (
@@ -41,11 +43,17 @@ func BenchmarkIndexRebuildWorkers(b *testing.B) {
 		reps = 3
 	}
 	var built *pll.Index
+	blocks, redone := 0, 0 // of the last build
 	wall := func(workers int) float64 {
 		best := math.Inf(1)
 		for r := 0; r < reps; r++ {
+			blocks, redone = 0, 0
 			t0 := time.Now()
-			built = pll.BuildWithOptions(benchG, pll.Options{Weight: weight, Workers: workers})
+			built = pll.BuildWithOptions(benchG, pll.Options{Weight: weight, Workers: workers,
+				OnBlock: func(_, _, blockRedone int, _ time.Duration) {
+					blocks++
+					redone += blockRedone
+				}})
 			if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < best {
 				best = ms
 			}
@@ -56,6 +64,7 @@ func BenchmarkIndexRebuildWorkers(b *testing.B) {
 	b.ResetTimer()
 	w1 := wall(1)
 	w2 := wall(2)
+	blocks2, redone2 := blocks, redone
 	w4 := wall(4)
 	b.StopTimer()
 
@@ -96,6 +105,8 @@ func BenchmarkIndexRebuildWorkers(b *testing.B) {
 		"rebuild_ms_w2":    w2,
 		"rebuild_ms_w4":    w4,
 		"speedup_4w":       speedup,
+		"blocks_w2":        blocks2,
+		"redone_ranks_w2":  redone2,
 		"label_entries":    st.TotalEntries,
 		"packed_bytes":     st.PackedBytes,
 		"unpacked_bytes":   st.UnpackedBytes,

@@ -33,11 +33,17 @@ func emitBenchLive(name string, fields map[string]any) {
 	fmt.Printf("BENCH_live.json %s\n", buf)
 }
 
-// freshPairs returns a shuffled list of node pairs absent from g, so
-// benchmark loops insert guaranteed-new edges without retry storms.
+// freshPairs returns a shuffled list of distinct node pairs absent from
+// g, no pair appearing twice in either orientation, so benchmark loops
+// insert guaranteed-new edges without retry storms.
 func freshPairs(g *expertgraph.Graph, rng *rand.Rand, limit int) [][2]expertgraph.NodeID {
 	n := g.NumNodes()
+	if absent := n*(n-1)/2 - g.NumEdges(); limit > absent {
+		// Drawing more distinct pairs than exist would never return.
+		panic(fmt.Sprintf("freshPairs: %d pairs requested, the graph has %d absent pairs", limit, absent))
+	}
 	pairs := make([][2]expertgraph.NodeID, 0, limit)
+	drawn := make(map[[2]expertgraph.NodeID]bool, limit)
 	for len(pairs) < limit {
 		u := expertgraph.NodeID(rng.Intn(n))
 		v := expertgraph.NodeID(rng.Intn(n))
@@ -47,6 +53,11 @@ func freshPairs(g *expertgraph.Graph, rng *rand.Rand, limit int) [][2]expertgrap
 		if _, exists := g.EdgeWeight(u, v); exists {
 			continue
 		}
+		key := [2]expertgraph.NodeID{min(u, v), max(u, v)}
+		if drawn[key] {
+			continue
+		}
+		drawn[key] = true
 		pairs = append(pairs, [2]expertgraph.NodeID{u, v})
 	}
 	return pairs
@@ -55,11 +66,9 @@ func freshPairs(g *expertgraph.Graph, rng *rand.Rand, limit int) [][2]expertgrap
 func BenchmarkLiveMutationThroughput(b *testing.B) {
 	benchSetup(b)
 	rng := rand.New(rand.NewSource(99))
-	// Cycle through stores: each absorbs up to len(pairs) insertions
-	// (duplicates within one store are skipped by the pair list being
-	// drawn without an in-store dedup — collisions are rare enough to
-	// ignore for a throughput number; real duplicates are rejected in
-	// O(1) and still count as applied work below via the error path).
+	// Cycle through stores: each absorbs the perStore pairs of one
+	// list, which holds no pair twice in either orientation, so every
+	// insertion into a store is new and applied counts b.N.
 	const perStore = 50_000
 	pairs := freshPairs(benchG, rng, perStore)
 	var st *live.Store

@@ -95,7 +95,8 @@ func Read(r io.Reader) (*Index, error) {
 // inside their own byte range into strictly increasing ranks below n,
 // with every payload in range and every float distance non-negative;
 // an entry count equal to total; a power-of-two scale of at least 1;
-// and rankOf and nodeAt inverse permutations of 0..n-1.
+// and rankOf and nodeAt inverse permutations of 0..n-1. It records the
+// longest label's entry count for Stats.
 func (ix *Index) validate() error {
 	n := ix.n
 	if n < 0 || len(ix.off) != n+1 || len(ix.rankOf) != n || len(ix.nodeAt) != n {
@@ -114,7 +115,7 @@ func (ix *Index) validate() error {
 			return fmt.Errorf("label offsets out of order at node %d", u)
 		}
 		label := ix.data[:end]
-		rank := -1
+		rank, size := -1, 0
 		for pos < end {
 			h, k := binary.Uvarint(label[pos:])
 			if k <= 0 {
@@ -145,8 +146,10 @@ func (ix *Index) validate() error {
 			default:
 				return fmt.Errorf("node %d: unknown distance kind", u)
 			}
-			entries++
+			size++
 		}
+		entries += size
+		ix.maxLabel = max(ix.maxLabel, size)
 	}
 	if entries != ix.total {
 		return fmt.Errorf("%d label entries, header says %d", entries, ix.total)

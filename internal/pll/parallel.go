@@ -20,7 +20,8 @@ import (
 // is always itself prefix-pruned — the first pruned vertex on that
 // path hands its covering hub to the whole suffix).
 //
-// So landmarks are processed in rank blocks [lo, hi):
+// So landmarks are processed in rank blocks [lo, hi), every sweep
+// walking the same flat weighted adjacency (see flatten):
 //
 //   - Phase A (parallel): each rank r in the block runs its pruned
 //     Dijkstra against the frozen labels committed by ranks < lo,
@@ -43,24 +44,21 @@ import (
 //
 // The result is bit-identical to the sequential build: same label
 // sets, same stored distances (differential-tested across graphs,
-// weights and worker counts). Blocks grow geometrically (1, 2, 4, …)
-// capped at max(8, 2·workers): early high-degree landmarks do the
-// bulk of the pruning and must commit before wide blocks are
-// profitable, while the cap bounds both the extra candidate work the
-// relaxed prefix pruning admits and the odds of contamination — the
-// serial redo of contaminated ranks is what limits the speedup.
+// weights and worker counts). Block sizes follow contamination: a
+// block that redid any rank halves the next block (down to 1, which is
+// the sequential sweep), and a clean block doubles it, up to
+// max(8, 2·workers). A contaminated rank pays for two sweeps, its
+// wasted Phase A one and its serial redo, and contamination is densest
+// among the early high-degree landmarks, which do the bulk of the
+// pruning: there the blocks stay small until the committed labels
+// prune well enough for wide blocks to come back clean. The cap bounds
+// both the extra candidate work the relaxed prefix pruning admits and
+// the odds of contamination in the long tail.
 
-// rankCandidate is one surviving settle of a Phase A sweep, in settle
-// (distance) order.
-type rankCandidate struct {
-	u expertgraph.NodeID
-	d float64
-}
-
-// buildParallel is the Options.Workers > 1 path of BuildWithOptions.
-func buildParallel(g expertgraph.GraphView, opt Options) *Index {
-	n := g.NumNodes()
-	nodeAt, rankOf := landmarkOrder(g, opt.Order)
+// parallelLabels is the Options.Workers > 1 path of BuildWithOptions:
+// it returns the same labels as the sequential sweep over adj.
+func parallelLabels(adj *adjacency, nodeAt []expertgraph.NodeID, opt Options) [][]labelEntry {
+	n := len(nodeAt)
 	workers := opt.Workers
 	if workers > n {
 		workers = n
@@ -73,12 +71,11 @@ func buildParallel(g expertgraph.GraphView, opt Options) *Index {
 	}
 
 	// Block cap: bigger blocks amortize the per-block barrier, smaller
-	// blocks shrink the in-block window in which Phase A candidates can
-	// be covered by freshly committed entries (contaminated ranks redo
-	// their sweep serially, so contamination is what bounds the
-	// speedup). Measured on a 1.2K-node DBLP corpus, contaminated
-	// ranks drop from ~29% at cap 32 to ~15% at cap 8; 2·workers keeps
-	// every worker busy per block without widening the window further.
+	// ones shrink the in-block window in which Phase A candidates can
+	// be covered by fresh commits; 2·workers keeps every worker busy
+	// per block. At 2 workers the synthetic DBLP covers (γ=0.6 G′)
+	// redo 77 of 1172 ranks in 204 blocks and 263 of 9841 in 1395,
+	// against 117 in 149 and 382 in 1233 with blocks that only grew.
 	maxBlock := 2 * workers
 	if maxBlock < 8 {
 		maxBlock = 8
@@ -89,13 +86,7 @@ func buildParallel(g expertgraph.GraphView, opt Options) *Index {
 	var wg sync.WaitGroup
 	lo, blockSize := 0, 1
 	for lo < n {
-		hi := lo + blockSize
-		if blockSize > maxBlock {
-			hi = lo + maxBlock
-		}
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+blockSize, n)
 		start := time.Now()
 
 		// Phase A: per-rank candidate sweeps against the committed
@@ -116,7 +107,7 @@ func buildParallel(g expertgraph.GraphView, opt Options) *Index {
 					if r >= hi {
 						return
 					}
-					cands[r-lo] = candidateSweep(g, opt.Weight, labels, nodeAt[r], sc, cands[r-lo][:0])
+					cands[r-lo] = candidateSweep(adj, labels, nodeAt[r], sc, cands[r-lo][:0])
 				}
 			}(scratch[w])
 		}
@@ -132,6 +123,7 @@ func buildParallel(g expertgraph.GraphView, opt Options) *Index {
 		// the whole rank (sequential would have blocked expansion
 		// there), so the rank re-runs serially against the complete
 		// labels below r.
+		redone := 0
 		hub := scratch[0].hubDist
 		for r := lo; r < hi; r++ {
 			lm := nodeAt[r]
@@ -159,74 +151,20 @@ func buildParallel(g expertgraph.GraphView, opt Options) *Index {
 					labels[cd.u] = append(labels[cd.u], labelEntry{rank: int32(r), dist: cd.d})
 				}
 			} else {
-				prunedSweep(g, opt.Weight, labels, lm, int32(r), scratch[0])
+				prunedSweep(adj, labels, lm, int32(r), scratch[0])
+				redone++
 			}
 		}
 
 		if opt.OnBlock != nil {
-			opt.OnBlock(lo, hi, time.Since(start))
+			opt.OnBlock(lo, hi, redone, time.Since(start))
 		}
 		lo = hi
-		// Clamp at the cap: doubling past it would overflow to zero on
-		// long builds (n/maxBlock > 63 blocks) and stall the loop.
-		if blockSize < maxBlock {
-			blockSize *= 2
+		if redone > 0 {
+			blockSize = max(1, blockSize/2)
+		} else {
+			blockSize = min(maxBlock, 2*blockSize)
 		}
 	}
-	return packIndex(labels, rankOf, nodeAt)
-}
-
-// candidateSweep runs one rank's pruned Dijkstra against the committed
-// prefix labels and appends the surviving settles to out in settle
-// order.
-func candidateSweep(g expertgraph.GraphView,
-	weight func(u, v expertgraph.NodeID, w float64) float64,
-	labels [][]labelEntry, lm expertgraph.NodeID,
-	sc *buildScratch, out []rankCandidate) []rankCandidate {
-
-	for _, e := range labels[lm] {
-		sc.hubDist[e.rank] = e.dist
-	}
-	sc.h.reset()
-	sc.h.push(lm, 0)
-	sc.dist[lm] = 0
-	sc.touched = append(sc.touched[:0], lm)
-
-	for sc.h.len() > 0 {
-		u, du := sc.h.pop()
-		if sc.visited[u] || du > sc.dist[u] {
-			continue
-		}
-		sc.visited[u] = true
-		pruned := false
-		for _, e := range labels[u] {
-			if hd := sc.hubDist[e.rank]; hd+e.dist <= du {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		out = append(out, rankCandidate{u: u, d: du})
-		g.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
-			if weight != nil {
-				w = weight(u, v, w)
-			}
-			if nd := du + w; nd < sc.dist[v] {
-				if sc.dist[v] == infinity {
-					sc.touched = append(sc.touched, v)
-				}
-				sc.dist[v] = nd
-				sc.h.push(v, nd)
-			}
-			return true
-		})
-	}
-
-	sc.clear()
-	for _, e := range labels[lm] {
-		sc.hubDist[e.rank] = infinity
-	}
-	return out
+	return labels
 }

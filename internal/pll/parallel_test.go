@@ -22,10 +22,11 @@ func indexesIdentical(a, b *Index) bool {
 		reflect.DeepEqual(a.nodeAt, b.nodeAt)
 }
 
-// TestParallelBuildBitIdentical is the tentpole differential: across
-// graph shapes, weight functions and worker counts, the block-parallel
-// build must produce an index bit-identical to the sequential sweep —
-// the same label entries per rank (not merely the same distances).
+// TestParallelBuildBitIdentical is the parallel build's differential:
+// across graph shapes, weight functions and worker counts, the
+// block-parallel build must produce an index bit-identical to the
+// sequential sweep — the same label entries per rank (not merely the
+// same distances).
 func TestParallelBuildBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	gamma := func(u, v expertgraph.NodeID, w float64) float64 { return 0.3 + 0.7*w }
@@ -95,19 +96,36 @@ func TestParallelBuildNaturalOrder(t *testing.T) {
 }
 
 // TestParallelBuildOnBlock checks the block callback partitions the
-// rank space exactly once, in order.
+// rank space exactly once, in order, and that block sizes follow
+// contamination: a block that redid any rank halves the next one, a
+// clean block doubles it, capped at max(8, 2·workers) = 8 here.
 func TestParallelBuildOnBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 60, 90)
-	nextRank := 0
-	ix := BuildWithOptions(g, Options{Workers: 4, OnBlock: func(lo, hi int, _ time.Duration) {
+	nextRank, size, redoneTotal := 0, 1, 0
+	ix := BuildWithOptions(g, Options{Workers: 4, OnBlock: func(lo, hi, redone int, _ time.Duration) {
 		if lo != nextRank || hi <= lo {
 			t.Fatalf("block [%d,%d) does not extend previous end %d", lo, hi, nextRank)
 		}
+		if want := min(size, g.NumNodes()-lo); hi-lo != want {
+			t.Fatalf("block [%d,%d) has %d ranks, want %d", lo, hi, hi-lo, want)
+		}
+		if redone < 0 || redone > hi-lo {
+			t.Fatalf("block [%d,%d) redid %d ranks", lo, hi, redone)
+		}
+		if redone > 0 {
+			size = max(1, size/2)
+		} else {
+			size = min(8, 2*size)
+		}
+		redoneTotal += redone
 		nextRank = hi
 	}})
 	if nextRank != ix.NumNodes() {
 		t.Fatalf("blocks covered [0,%d), want [0,%d)", nextRank, ix.NumNodes())
+	}
+	if redoneTotal == 0 {
+		t.Fatal("no block redid a rank, so the halving went unchecked")
 	}
 }
 
@@ -115,12 +133,12 @@ func TestParallelBuildOnBlock(t *testing.T) {
 // block-size overflow: blockSize used to keep doubling after hitting
 // the cap, so any build needing more than 63 blocks overflowed it to
 // zero and stalled the block loop forever. 1200 nodes at the 2-worker
-// cap (8) needs 150 blocks.
+// cap (8) needs at least 150 blocks.
 func TestParallelBuildManyBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 1200, 2400)
 	blocks := 0
-	ix := BuildWithOptions(g, Options{Workers: 2, OnBlock: func(lo, hi int, _ time.Duration) { blocks++ }})
+	ix := BuildWithOptions(g, Options{Workers: 2, OnBlock: func(_, _, _ int, _ time.Duration) { blocks++ }})
 	if blocks <= 63 {
 		t.Fatalf("only %d blocks; the regression needs more than 63", blocks)
 	}

@@ -19,11 +19,16 @@
 // probe adds the same hub distances as the merge-join, so its answers
 // are bit-identical to Dist.
 //
-// Construction can shard over workers (Options.Workers): landmarks are
-// processed in rank blocks whose pruned Dijkstras run concurrently
-// against the committed lower-rank labels, followed by a serial
-// in-block filter that reproduces the sequential prune decisions
-// exactly — see parallel.go. The frozen index stores labels packed
+// Construction first copies the graph into a flat weighted adjacency
+// (CSR arrays with Options.Weight applied to every directed edge), so
+// the pruned Dijkstras relax arcs without calling back into the
+// GraphView or the weight function. It can shard over workers
+// (Options.Workers): landmarks are processed in rank blocks whose
+// pruned Dijkstras run concurrently against the committed lower-rank
+// labels, followed by a serial in-block filter that reproduces the
+// sequential prune decisions exactly, with block sizes that shrink
+// after a block whose ranks had to be redone and grow after a clean
+// one — see parallel.go. The frozen index stores labels packed
 // (delta-encoded varint hub ranks, kind-tagged distances), roughly
 // halving the cache footprint of the Dist hot path; see the encoding
 // notes on appendEntry.
@@ -33,6 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -71,11 +77,12 @@ const unpackedEntryBytes = 16
 // over the packed form returns bit-identical distances to the unpacked
 // merge-join.
 type Index struct {
-	n     int
-	off   []int32 // byte offsets into data, len n+1
-	data  []byte  // packed label entries
-	total int     // total entry count across all labels
-	quant float64 // fixed-point scale for distFixed entries, a power of two
+	n        int
+	off      []int32 // byte offsets into data, len n+1
+	data     []byte  // packed label entries
+	total    int     // total entry count across all labels
+	maxLabel int     // entry count of the longest label
+	quant    float64 // fixed-point scale for distFixed entries, a power of two
 	// rankOf maps NodeID to its construction rank, and nodeAt is the
 	// inverse; exposed for diagnostics and serialization.
 	rankOf []int32
@@ -108,9 +115,11 @@ type Options struct {
 	// stored distances); see parallel.go for the rank-block scheme.
 	Workers int
 	// OnBlock, if set, is called after each rank block [lo, hi) of the
-	// parallel build commits, with the block's wall-clock time. The
-	// sequential path reports a single block [0, n).
-	OnBlock func(lo, hi int, elapsed time.Duration)
+	// parallel build commits, with the number of the block's ranks
+	// that were contaminated and redone serially, and the block's
+	// wall-clock time. The sequential path reports a single block
+	// [0, n) with nothing redone.
+	OnBlock func(lo, hi, redone int, elapsed time.Duration)
 }
 
 // Build constructs the index for g with default options.
@@ -118,20 +127,24 @@ func Build(g expertgraph.GraphView) *Index {
 	return BuildWithOptions(g, Options{})
 }
 
-// BuildWithOptions constructs the index for g. Any GraphView works;
-// construction cost is dominated by the pruned Dijkstras, so building
-// over a delta overlay instead of a packed CSR graph costs only the
-// overlay's per-read overhead.
+// BuildWithOptions constructs the index for g. Any GraphView works:
+// the graph is copied once into a flat weighted adjacency (see
+// flatten), so the pruned Dijkstras never call back into the view.
 func BuildWithOptions(g expertgraph.GraphView, opt Options) *Index {
 	n := g.NumNodes()
-	if opt.Workers > 1 && n > 1 {
-		return buildParallel(g, opt)
-	}
 	nodeAt, rankOf := landmarkOrder(g, opt.Order)
+	adj := flatten(g, opt.Weight)
+	if opt.Workers > 1 && n > 1 {
+		return packIndex(parallelLabels(adj, nodeAt, opt), rankOf, nodeAt)
+	}
 	start := time.Now()
-	labels := sequentialLabels(g, opt.Weight, nodeAt)
+	labels := make([][]labelEntry, n)
+	sc := newBuildScratch(n)
+	for r := 0; r < n; r++ {
+		prunedSweep(adj, labels, nodeAt[r], int32(r), sc)
+	}
 	if opt.OnBlock != nil {
-		opt.OnBlock(0, n, time.Since(start))
+		opt.OnBlock(0, n, 0, time.Since(start))
 	}
 	return packIndex(labels, rankOf, nodeAt)
 }
@@ -159,29 +172,70 @@ func landmarkOrder(g expertgraph.GraphView, order Order) ([]expertgraph.NodeID, 
 	return nodeAt, rankOf
 }
 
-// sequentialLabels runs the classic single-threaded pruned-Dijkstra
-// sweep and returns the per-node labels (sorted by rank ascending).
-func sequentialLabels(g expertgraph.GraphView,
-	weight func(u, v expertgraph.NodeID, w float64) float64,
-	nodeAt []expertgraph.NodeID) [][]labelEntry {
+// adjacency is the graph a build searches, flattened into CSR arrays:
+// the arcs of u are to[off[u]:off[u+1]] with search weights w, in the
+// view's Neighbors order and with Options.Weight already applied to
+// each directed edge. A build relaxes every arc many times, so paying
+// the interface callback and the weight function once per arc instead
+// is most of what flattening saves.
+type adjacency struct {
+	off []int
+	to  []expertgraph.NodeID
+	w   []float64
+}
 
+// flatten copies g into an adjacency, applying weight (nil = stored
+// weights) exactly as a relaxation from u to v would.
+func flatten(g expertgraph.GraphView, weight func(u, v expertgraph.NodeID, w float64) float64) *adjacency {
 	n := g.NumNodes()
-	labels := make([][]labelEntry, n)
-	sc := newBuildScratch(n)
-	for r := 0; r < n; r++ {
-		prunedSweep(g, weight, labels, nodeAt[r], int32(r), sc)
+	a := &adjacency{
+		off: make([]int, n+1),
+		to:  make([]expertgraph.NodeID, 0, 2*g.NumEdges()),
+		w:   make([]float64, 0, 2*g.NumEdges()),
 	}
-	return labels
+	for u := expertgraph.NodeID(0); int(u) < n; u++ {
+		g.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
+			if weight != nil {
+				w = weight(u, v, w)
+			}
+			a.to = append(a.to, v)
+			a.w = append(a.w, w)
+			return true
+		})
+		a.off[u+1] = len(a.to)
+	}
+	return a
 }
 
 // prunedSweep runs one landmark's pruned Dijkstra against the labels
 // committed so far (all ranks below r must be complete) and appends the
 // surviving settles to the labels. Both the sequential build and the
 // parallel build's contaminated-rank fallback commit through this
-// single function, so their per-rank semantics cannot drift apart.
-func prunedSweep(g expertgraph.GraphView,
-	weight func(u, v expertgraph.NodeID, w float64) float64,
-	labels [][]labelEntry, lm expertgraph.NodeID, r int32, sc *buildScratch) {
+// single function, and it searches with the same candidateSweep as the
+// parallel build's Phase A, so their per-rank semantics cannot drift
+// apart. Committing after the search is the same as committing at each
+// settle: the prune test of a node reads only that node's label (which
+// gains rank r only when the node itself settles) and the landmark's,
+// loaded before the search starts.
+func prunedSweep(adj *adjacency, labels [][]labelEntry, lm expertgraph.NodeID, r int32, sc *buildScratch) {
+	sc.cands = candidateSweep(adj, labels, lm, sc, sc.cands[:0])
+	for _, cd := range sc.cands {
+		labels[cd.u] = append(labels[cd.u], labelEntry{rank: r, dist: cd.d})
+	}
+}
+
+// rankCandidate is one surviving settle of a landmark's pruned
+// Dijkstra, in settle (distance) order.
+type rankCandidate struct {
+	u expertgraph.NodeID
+	d float64
+}
+
+// candidateSweep runs one landmark's pruned Dijkstra over adj against
+// the committed labels and appends the surviving settles to out in
+// settle order. It only reads labels.
+func candidateSweep(adj *adjacency, labels [][]labelEntry, lm expertgraph.NodeID,
+	sc *buildScratch, out []rankCandidate) []rankCandidate {
 
 	// Load the landmark's current label into hubDist.
 	for _, e := range labels[lm] {
@@ -210,20 +264,17 @@ func prunedSweep(g expertgraph.GraphView,
 		if pruned {
 			continue
 		}
-		labels[u] = append(labels[u], labelEntry{rank: r, dist: du})
-		g.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
-			if weight != nil {
-				w = weight(u, v, w)
-			}
-			if nd := du + w; nd < sc.dist[v] {
+		out = append(out, rankCandidate{u: u, d: du})
+		for i, end := adj.off[u], adj.off[u+1]; i < end; i++ {
+			v := adj.to[i]
+			if nd := du + adj.w[i]; nd < sc.dist[v] {
 				if sc.dist[v] == infinity {
 					sc.touched = append(sc.touched, v)
 				}
 				sc.dist[v] = nd
 				sc.h.push(v, nd)
 			}
-			return true
-		})
+		}
 	}
 
 	// Reset scratch for the next landmark.
@@ -231,16 +282,19 @@ func prunedSweep(g expertgraph.GraphView,
 	for _, e := range labels[lm] {
 		sc.hubDist[e.rank] = infinity
 	}
+	return out
 }
 
 // buildScratch is the per-sweep working set of one pruned Dijkstra:
-// tentative distances, visited flags, the landmark's hub distances and
-// the touched list that makes resets O(|touched|).
+// tentative distances, visited flags, the landmark's hub distances, the
+// touched list that makes resets O(|touched|), and prunedSweep's
+// candidate buffer.
 type buildScratch struct {
 	dist    []float64
 	visited []bool
 	hubDist []float64
 	touched []expertgraph.NodeID
+	cands   []rankCandidate
 	h       *pairHeap
 }
 
@@ -290,7 +344,10 @@ const defaultQuantScale = 1 << 16
 
 // maxFixed bounds the fixed-point payload: beyond it the uvarint would
 // be at least as long as the 8 raw float bytes.
-const maxFixed = 1 << 49
+const (
+	maxFixedBits = 49
+	maxFixed     = 1 << maxFixedBits
+)
 
 // maxQuantShift caps the per-index scale exponent considered by
 // chooseQuant: scales above 2^30 leave less than 19 bits of integer
@@ -299,42 +356,19 @@ const maxQuantShift = 30
 
 // chooseQuant picks the fixed-point scale for one index: the power of
 // two 2^k (k in [0, maxQuantShift]) under which the most label
-// distances encode as distFixed. For each nonzero distance the set of
-// workable exponents is a contiguous window [lo, hi] — lo the first k
-// making dist·2^k integral, hi the last keeping it under maxFixed —
-// so a difference array over k counts every window in one pass. Ties
-// prefer the smallest k, which yields the shortest uvarint payloads;
-// with no signal at all the legacy default wins.
+// distances encode as distFixed. Each nonzero distance's workable
+// exponents form a contiguous window (quantWindow), so a difference
+// array over k counts every window in one pass. Ties prefer the
+// smallest k, which yields the shortest uvarint payloads; with no
+// signal at all the legacy default wins.
 func chooseQuant(labels [][]labelEntry) float64 {
 	var diff [maxQuantShift + 2]int
 	for _, l := range labels {
 		for _, e := range l {
-			d := e.dist
-			if d <= 0 {
-				continue // distZero entries need no scale
+			if lo, hi, ok := quantWindow(e.dist); ok {
+				diff[lo]++
+				diff[hi+1]--
 			}
-			lo := -1
-			s := d
-			for k := 0; k <= maxQuantShift; k++ {
-				if s >= maxFixed {
-					break
-				}
-				if s == math.Trunc(s) {
-					lo = k
-					break
-				}
-				s *= 2
-			}
-			if lo < 0 {
-				continue
-			}
-			hi := lo
-			for hi < maxQuantShift && s*2 < maxFixed {
-				hi++
-				s *= 2
-			}
-			diff[lo]++
-			diff[hi+1]--
 		}
 	}
 	best, bestCount, covered := 0, 0, 0
@@ -348,6 +382,24 @@ func chooseQuant(labels [][]labelEntry) float64 {
 		return defaultQuantScale
 	}
 	return float64(uint64(1) << uint(best))
+}
+
+// quantWindow returns the exponents k in [0, maxQuantShift] under
+// which d packs as distFixed: lo is the first k making d·2^k integral,
+// hi the last keeping d·2^k below maxFixed. ok is false when no k
+// works, and for zero (distZero needs no scale), negative, infinite or
+// NaN d. Writing d = m·2^(e−53) with m the 53-bit integer frac·2^53
+// from math.Frexp, d·2^k is integral exactly when k ≥ 53 − e − tz(m),
+// and below 2^maxFixedBits exactly when k ≤ maxFixedBits − e.
+func quantWindow(d float64) (lo, hi int, ok bool) {
+	if !(d > 0 && d < maxFixed) {
+		return 0, 0, false
+	}
+	frac, e := math.Frexp(d)
+	m := uint64(frac * (1 << 53))
+	lo = max(0, 53-e-bits.TrailingZeros64(m))
+	hi = min(maxQuantShift, maxFixedBits-e)
+	return lo, hi, lo <= hi
 }
 
 // appendEntry appends one packed label entry to data and returns the
@@ -433,12 +485,11 @@ func packIndex(labels [][]labelEntry, rankOf []int32, nodeAt []expertgraph.NodeI
 		rankOf: rankOf,
 		nodeAt: nodeAt,
 	}
-	total := 0
 	for _, l := range labels {
-		total += len(l)
+		ix.total += len(l)
+		ix.maxLabel = max(ix.maxLabel, len(l))
 	}
-	ix.total = total
-	ix.data = make([]byte, 0, 6*total)
+	ix.data = make([]byte, 0, 6*ix.total)
 	for u, l := range labels {
 		prev := int32(-1)
 		for _, e := range l {
@@ -522,14 +573,10 @@ type Stats struct {
 	UnpackedBytes int
 }
 
-// Stats computes index statistics.
+// Stats reports index statistics in O(1): packIndex and Read's
+// validation pass record the longest label.
 func (ix *Index) Stats() Stats {
-	s := Stats{Nodes: ix.n, TotalEntries: ix.total}
-	for u := 0; u < ix.n; u++ {
-		if l := ix.LabelSize(expertgraph.NodeID(u)); l > s.MaxLabelSize {
-			s.MaxLabelSize = l
-		}
-	}
+	s := Stats{Nodes: ix.n, TotalEntries: ix.total, MaxLabelSize: ix.maxLabel}
 	if ix.n > 0 {
 		s.AvgLabelSize = float64(s.TotalEntries) / float64(ix.n)
 	}
@@ -546,66 +593,64 @@ func (s Stats) String() string {
 
 // pairHeap is a plain binary min-heap of (node, priority) pairs with
 // lazy deletion — pruned Dijkstra never needs decrease-key because
-// stale entries are skipped on pop.
+// stale entries are skipped on pop. Each pair is one item, and push
+// and pop sift a hole instead of swapping, writing the moved item once
+// at the end. Pops of equal priority come out in no particular order;
+// a search that settles each node at its least priority does not
+// depend on it.
 type pairHeap struct {
-	ids  []expertgraph.NodeID
-	prio []float64
+	items []heapItem
+}
+
+type heapItem struct {
+	prio float64
+	node expertgraph.NodeID
 }
 
 func newPairHeap(capacity int) *pairHeap {
-	return &pairHeap{
-		ids:  make([]expertgraph.NodeID, 0, capacity),
-		prio: make([]float64, 0, capacity),
-	}
+	return &pairHeap{items: make([]heapItem, 0, capacity)}
 }
 
-func (h *pairHeap) reset() {
-	h.ids = h.ids[:0]
-	h.prio = h.prio[:0]
-}
+func (h *pairHeap) reset() { h.items = h.items[:0] }
 
-func (h *pairHeap) len() int { return len(h.ids) }
+func (h *pairHeap) len() int { return len(h.items) }
 
 func (h *pairHeap) push(u expertgraph.NodeID, p float64) {
-	h.ids = append(h.ids, u)
-	h.prio = append(h.prio, p)
-	i := len(h.ids) - 1
+	h.items = append(h.items, heapItem{})
+	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.prio[parent] <= h.prio[i] {
+		if h.items[parent].prio <= p {
 			break
 		}
-		h.swap(i, parent)
+		h.items[i] = h.items[parent]
 		i = parent
 	}
+	h.items[i] = heapItem{prio: p, node: u}
 }
 
 func (h *pairHeap) pop() (expertgraph.NodeID, float64) {
-	top, p := h.ids[0], h.prio[0]
-	last := len(h.ids) - 1
-	h.swap(0, last)
-	h.ids = h.ids[:last]
-	h.prio = h.prio[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.prio[l] < h.prio[smallest] {
-			smallest = l
+	top := h.items[0]
+	last := len(h.items) - 1
+	x := h.items[last]
+	h.items = h.items[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if r := c + 1; r < last && h.items[r].prio < h.items[c].prio {
+				c = r
+			}
+			if h.items[c].prio >= x.prio {
+				break
+			}
+			h.items[i] = h.items[c]
+			i = c
 		}
-		if r < last && h.prio[r] < h.prio[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.swap(i, smallest)
-		i = smallest
+		h.items[i] = x
 	}
-	return top, p
-}
-
-func (h *pairHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
+	return top.node, top.prio
 }

@@ -181,6 +181,9 @@ func TestReweightedBuild(t *testing.T) {
 	}
 }
 
+// TestStats checks the statistics against per-label counts, for a
+// built index, its Write/Read round trip and a DynamicIndex freeze
+// (Stats reads the longest label recorded by packIndex or Read).
 func TestStats(t *testing.T) {
 	g := buildPath(t, 8)
 	ix := Build(g)
@@ -194,12 +197,40 @@ func TestStats(t *testing.T) {
 	if s.String() == "" {
 		t.Error("Stats.String should be non-empty")
 	}
-	sum := 0
-	for u := 0; u < 8; u++ {
-		sum += ix.LabelSize(expertgraph.NodeID(u))
+	var buf bytes.Buffer
+	if err := Write(&buf, ix); err != nil {
+		t.Fatal(err)
 	}
-	if sum != s.TotalEntries {
-		t.Errorf("label sizes sum %d != TotalEntries %d", sum, s.TotalEntries)
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Repair the index for a chord (0, 7) of the path.
+	b := expertgraph.NewBuilder(8, 8)
+	for i := 0; i < 8; i++ {
+		b.AddNode("", 1)
+	}
+	for i := 1; i < 8; i++ {
+		b.AddEdge(expertgraph.NodeID(i-1), expertgraph.NodeID(i), 1)
+	}
+	b.AddEdge(0, 7, 0.5)
+	chorded, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDynamic(ix, nil)
+	d.InsertEdge(chorded, 0, 7, 0.5)
+	for name, x := range map[string]*Index{"built": ix, "read": loaded, "repaired": d.Freeze()} {
+		sum, longest := 0, 0
+		for u := 0; u < x.NumNodes(); u++ {
+			l := x.LabelSize(expertgraph.NodeID(u))
+			sum += l
+			longest = max(longest, l)
+		}
+		if s := x.Stats(); sum != s.TotalEntries || longest != s.MaxLabelSize {
+			t.Errorf("%s: label sizes sum %d, max %d; Stats says %d, %d",
+				name, sum, longest, s.TotalEntries, s.MaxLabelSize)
+		}
 	}
 }
 

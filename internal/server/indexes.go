@@ -349,15 +349,19 @@ func (s *indexSet) build(v view, p *transform.Params, m core.Method) *oracle.PLL
 	// cannot fail on a live store; falling back to the overlay view
 	// degrades a broken invariant to a slower build, not an outage.
 	tr := obs.NewTrace()
+	blocks, redone := 0, 0
 	ix := pll.BuildWithOptions(gv, pll.Options{
 		Weight:  weight,
 		Workers: s.workers,
-		OnBlock: func(lo, hi int, _ time.Duration) {
+		OnBlock: func(lo, hi, blockRedone int, _ time.Duration) {
+			blocks++
+			redone += blockRedone
 			tr.Lap(fmt.Sprintf("ranks[%d,%d)", lo, hi))
 		},
 	})
 	slog.Debug("server: index build", "mode", mode, "workers", s.workers,
-		"total", tr.Total(), "blocks", tr.Header())
+		"total", tr.Total(), "block_count", blocks, "redone_ranks", redone,
+		"blocks", tr.Header())
 	return oracle.NewPLL(ix)
 }
 

@@ -500,6 +500,10 @@ func TestReplicationSoak(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	// writerDone can fire between two writes while the writer is still
+	// running, so the writer's last writes land after the wait above:
+	// let the follower apply them too before comparing.
+	waitServerEpoch(t, fs, ls.store.Epoch())
 
 	// Convergence: byte-identical answers at the same epoch.
 	want, _ := json.Marshal(discoverAt(t, lts.URL))
