@@ -40,7 +40,6 @@ import (
 	"math/rand"
 	"net/url"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,6 +47,7 @@ import (
 	"authteam/internal/dblp"
 	"authteam/internal/expertgraph"
 	"authteam/internal/live"
+	"authteam/internal/node"
 	"authteam/internal/obs"
 	"authteam/internal/oracle"
 	"authteam/internal/repl"
@@ -124,8 +124,8 @@ func NewGraphBuilder(nodeHint, edgeHint int) *GraphBuilder {
 
 // MetricsRegistry is a dependency-free metrics registry (atomic
 // counters, gauges and histograms with Prometheus text exposition via
-// WritePrometheus). Pass one in Options.Metrics to have the client's
-// live store register its instruments on it.
+// WritePrometheus). Pass one in Options.Metrics to have the client
+// register its store, index and replication instruments on it.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty registry.
@@ -138,13 +138,16 @@ type Options struct {
 	Gamma float64
 	// Lambda trades skill-holder authority against the rest.
 	Lambda float64
-	// BuildIndex constructs 2-hop cover indexes at client creation:
-	// slower startup, near-constant-time distance queries afterwards
-	// (the paper's configuration). Without it every discovery call
-	// runs per-root Dijkstra — fine for small graphs and tests. After
-	// live mutations the indexes are carried forward by incremental
-	// repair when possible and rebuilt otherwise, lazily on the next
-	// query.
+	// BuildIndex serves distances from 2-hop cover indexes (the
+	// paper's configuration), exactly as `teamdisc serve` does: the
+	// raw-weight and the γ covers are built at client creation (a
+	// following client builds each on its first query instead), and
+	// after live mutations a cover is carried forward by incremental
+	// repair when the delta allows it (up to 512 mutations) and rebuilt
+	// in the background otherwise. Queries never wait for a rebuild:
+	// until it lands they run exact per-root Dijkstra, so answers stay
+	// exact. Without BuildIndex every discovery call runs per-root
+	// Dijkstra — fine for small graphs and tests.
 	BuildIndex bool
 	// NoNormalize disables the min–max normalization of Definition 4
 	// (normalization is on by default, as in the paper).
@@ -197,65 +200,27 @@ type Options struct {
 	FollowWait time.Duration
 	// Metrics registers the client's store instruments (apply latency,
 	// journal append/fsync, fold duration, overlay builds, resident log
-	// length) on the given registry, e.g. one the embedding program
-	// already exposes at /metrics. Nil disables instrumentation; the
-	// client works identically either way.
+	// length), its index maintenance and, when following, its
+	// replication instruments on the given registry, e.g. one the
+	// embedding program already exposes at /metrics. Nil disables
+	// instrumentation; the client works identically either way.
 	Metrics *obs.Registry
 }
-
-// clientState is the per-epoch derived serving state: the epoch's
-// zero-copy graph view, the fitted parameterization and (optionally)
-// the 2-hop cover indexes. It is immutable once published. No graph is
-// materialized to serve queries — the view reads through the base CSR
-// plus the mutation delta; only a full index rebuild (and Graph())
-// materializes.
-type clientState struct {
-	snap   *live.Snapshot
-	g      GraphView
-	params *transform.Params
-	rawIdx *oracle.PLLOracle // nil unless BuildIndex
-	gIdx   *oracle.PLLOracle
-}
-
-// clientRepairBudget caps how many delta mutations the client absorbs
-// by incremental index repair before preferring a rebuild.
-const clientRepairBudget = 512
 
 // Client answers team discovery queries over one expert network and
 // one (γ, λ) parameterization, and accepts live mutations (AddExpert,
 // AddCollaboration, UpdateExpert) that take effect atomically between
 // queries. It is safe for concurrent use: every query runs against one
-// epoch snapshot, and derived state (parameter fit, indexes) is
-// refreshed lazily — incrementally when the mutation delta allows —
-// on the first query after a mutation.
+// epoch snapshot. The store, its background loops, the parameter fit
+// and the 2-hop covers are the same serving core `teamdisc serve` runs
+// (internal/node).
 type Client struct {
-	store *live.Store
-	opt   Options
-	// compactor is the background journal-fold loop (nil unless
-	// Options.CompactInterval and Journal are set).
-	compactor *live.Compactor
-	// follower and leader implement replica mode (nil unless
-	// Options.Follow is set): follower is the background apply loop
-	// pulling the leader's log, leader forwards this client's
-	// mutations. leader is behind an atomic pointer because failover
-	// (Options.Peers) repoints it while mutators run; follower is
-	// guarded by followMu because failover restarts it too (refollow),
-	// and Close must not race a restart. followClosed marks the client
-	// shut down so a late refollow cannot start a loop on a closed
-	// store.
-	leader       atomic.Pointer[repl.Leader]
-	followMu     sync.Mutex
-	follower     *live.Follower
-	followClosed bool
-
-	mu sync.Mutex
-	st *clientState
-	// refresh is the latch of an in-flight state refresh; queries
-	// needing a newer epoch wait on it instead of redundantly
-	// rebuilding, and the expensive work (transform fit, index
-	// repair/rebuild) runs outside mu so Epoch()/mutators never block
-	// behind it.
-	refresh chan struct{}
+	node *node.Node
+	opt  Options
+	// leader forwards this client's mutations in replica mode (nil
+	// unless Options.Follow is set). It sits behind an atomic pointer
+	// because failover (Options.Peers) repoints it while mutators run.
+	leader atomic.Pointer[repl.Leader]
 }
 
 // New creates a client over g. With Options.Follow set, g may be nil:
@@ -263,52 +228,42 @@ type Client struct {
 // log in the background (queries work immediately, against whatever
 // prefix has replicated).
 func New(g *Graph, opt Options) (*Client, error) {
-	if g == nil {
-		if opt.Follow == "" {
-			return nil, errors.New("authteam: nil graph (only a following client may start without one)")
-		}
-		var err error
-		if g, err = NewGraphBuilder(0, 0).Build(); err != nil {
-			return nil, err
-		}
+	if g == nil && opt.Follow == "" {
+		return nil, errors.New("authteam: nil graph (only a following client may start without one)")
 	}
-	store, err := live.Open(g, live.Config{
+	n, err := node.Open(node.Config{
+		Graph:            g,
 		JournalPath:      opt.Journal,
 		CompactThreshold: opt.CompactThreshold,
 		CommitBatch:      opt.CommitBatch,
+		CompactInterval:  opt.CompactInterval,
+		CompactBytes:     opt.CompactBytes,
+		FollowURL:        opt.Follow,
+		FollowPoll:       opt.FollowPoll,
+		NoNormalize:      opt.NoNormalize,
+		RepairBudget:     512,
+		Workers:          runtime.NumCPU(),
 		Metrics:          opt.Metrics,
 	})
 	if err != nil {
+		return nil, fmt.Errorf("authteam: %w", err)
+	}
+	c := &Client{node: n, opt: opt}
+	snap := n.Store().Snapshot()
+	p, err := n.Params(snap, opt.Gamma, opt.Lambda)
+	if err != nil {
+		n.Close()
 		return nil, err
-	}
-	if opt.CompactInterval > 0 && opt.Journal == "" {
-		store.Close()
-		return nil, errors.New("authteam: CompactInterval requires Journal (nothing to fold without a journal)")
-	}
-	c := &Client{store: store, opt: opt}
-	if _, err := c.state(); err != nil {
-		store.Close()
-		return nil, err
-	}
-	if opt.CompactInterval > 0 {
-		c.compactor, err = store.StartCompactor(live.CompactorConfig{
-			Interval:   opt.CompactInterval,
-			MinRecords: uint64(max(opt.CompactThreshold, 0)),
-			MaxBytes:   opt.CompactBytes,
-		})
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
 	}
 	if opt.Follow != "" {
-		// Both directions claim the store's term: tails so a superseded
-		// source fences us instead of feeding a stale lineage, forwards
-		// so a partitioned old leader self-demotes on first contact.
-		c.leader.Store(repl.NewLeader(opt.Follow, nil).WithTerm(store.Term))
-		c.follower = live.StartFollower(store, repl.NewHTTPSource(opt.Follow, nil).WithTerm(store.Term), live.FollowerConfig{
-			PollTimeout: opt.FollowPoll,
-		})
+		// Forwards claim the store's term, so a partitioned old leader
+		// self-demotes on first contact.
+		c.leader.Store(repl.NewLeader(opt.Follow, nil).WithTerm(n.Store().Term))
+	} else if opt.BuildIndex {
+		// A follower builds its covers once replication has delivered a
+		// graph, not over the empty bootstrap state.
+		n.Index(snap, p, CC)
+		n.Index(snap, p, SACACC)
 	}
 	return c, nil
 }
@@ -319,7 +274,7 @@ func New(g *Graph, opt Options) (*Client, error) {
 // claiming the role wins) and retries exactly once. A successful retry
 // repoints the whole client at the new leader: later mutations forward
 // straight to it, and the replication tail is restarted against it too
-// (refollow) — leaving the follower on the dead leader would freeze
+// (Refollow) — leaving the follower on the dead leader would freeze
 // local reads and fail every read-your-writes wait with
 // ErrReplicationLag forever.
 func (c *Client) forward(do func(l *repl.Leader) (uint64, error)) (uint64, error) {
@@ -333,33 +288,13 @@ func (c *Client) forward(do func(l *repl.Leader) (uint64, error)) (uint64, error
 	if rerr != nil {
 		return 0, fmt.Errorf("authteam: forward failed (%v) and leader re-resolution failed: %w", err, rerr)
 	}
-	nl := repl.NewLeader(url, nil).WithTerm(c.store.Term)
+	nl := repl.NewLeader(url, nil).WithTerm(c.node.Store().Term)
 	epoch, err = do(nl)
 	if err == nil {
 		c.leader.Store(nl)
-		c.refollow(url)
+		c.node.Refollow(url)
 	}
 	return epoch, err
-}
-
-// refollow restarts the replication tail against the leader a
-// successful failover resolved. The old loop is stopped (it may
-// already have stopped itself: its first contact with the demoted old
-// leader fences the local store) and a fresh one started on the new
-// source. If the store was fenced in the meantime, the new loop's
-// bootstrap resyncs it wholesale — AdoptBase of the new lineage's
-// base, which discards the divergent suffix and clears the fence — so
-// the client fully rejoins the cluster instead of serving frozen state.
-func (c *Client) refollow(url string) {
-	c.followMu.Lock()
-	defer c.followMu.Unlock()
-	if c.followClosed || c.follower == nil {
-		return
-	}
-	c.follower.Stop()
-	c.follower = live.StartFollower(c.store, repl.NewHTTPSource(url, nil).WithTerm(c.store.Term), live.FollowerConfig{
-		PollTimeout: c.opt.FollowPoll,
-	})
 }
 
 // failoverWorthy reports whether a forward failure can plausibly be
@@ -376,111 +311,12 @@ func failoverWorthy(err error) bool {
 	return errors.As(err, &uerr)
 }
 
-// state returns a derived state at least as new as the epoch current
-// when the query arrived, refreshing it if mutations have advanced the
-// store since the last query. One refresher works at a time (outside
-// the lock); concurrent queries needing the new epoch wait on its
-// latch rather than duplicating the fit/rebuild.
-func (c *Client) state() (*clientState, error) {
-	want := c.store.Epoch()
-	c.mu.Lock()
-	var old *clientState
-	for {
-		// A state at least as new as the query's admission epoch is a
-		// valid consistent view (read-your-writes holds; a refresher
-		// may legitimately have moved past `want`) — if it belongs to
-		// the store's current lineage. A base adoption (a follower's
-		// bootstrap, or a failover resync rewinding a fenced store)
-		// replaces the state at an epoch that may equal or trail the
-		// derived state's, which must then be rebuilt.
-		if c.st != nil && c.st.snap.Epoch() >= want && c.st.snap.Adoptions() == c.store.Snapshot().Adoptions() {
-			st := c.st
-			c.mu.Unlock()
-			return st, nil
-		}
-		if c.refresh == nil {
-			old = c.st
-			break
-		}
-		latch := c.refresh
-		c.mu.Unlock()
-		<-latch
-		c.mu.Lock()
-	}
-	latch := make(chan struct{})
-	c.refresh = latch
-	c.mu.Unlock()
-
-	st, err := c.derive(old)
-
-	c.mu.Lock()
-	if err == nil {
-		c.st = st
-	}
-	c.refresh = nil
-	c.mu.Unlock()
-	close(latch)
-	return st, err
-}
-
-// derive computes the full serving state for the store's current
-// epoch, carrying old's indexes forward incrementally when possible.
-// The state reads through the epoch's overlay view; nothing is
-// materialized unless an index must be rebuilt from scratch.
-func (c *Client) derive(old *clientState) (*clientState, error) {
-	snap := c.store.Snapshot()
-	g := snap.View()
-	p, err := transform.Fit(g, c.opt.Gamma, c.opt.Lambda, transform.Options{Normalize: !c.opt.NoNormalize})
-	if err != nil {
-		return nil, err
-	}
-	st := &clientState{snap: snap, g: g, params: p}
-	if c.opt.BuildIndex {
-		st.rawIdx = c.refreshIndex(old, snap, nil, nil, func(o *clientState) *oracle.PLLOracle { return o.rawIdx })
-		var oldWeight live.WeightFunc
-		if old != nil {
-			// The previous state's fit is the weight function the
-			// resident G' index was built over — decremental repair
-			// needs it to recognize entries created under the old
-			// authorities.
-			oldWeight = old.params.EdgeWeight()
-		}
-		st.gIdx = c.refreshIndex(old, snap, p.EdgeWeight(), oldWeight, func(o *clientState) *oracle.PLLOracle { return o.gIdx })
-	}
-	return st, nil
-}
-
-// refreshIndex carries one index to snap — incrementally from the
-// previous state when the mutation delta is repairable and in budget
-// (insertions, removals, re-weights and authority updates all are, as
-// long as the normalization bounds hold still), from scratch
-// otherwise.
-func (c *Client) refreshIndex(old *clientState, snap *live.Snapshot,
-	weight, oldWeight live.WeightFunc, pick func(*clientState) *oracle.PLLOracle) *oracle.PLLOracle {
-	if old != nil {
-		if prev := pick(old); prev != nil {
-			if ix, _, ok := live.MaintainIndex(prev.Index(), old.snap, snap, weight, oldWeight, clientRepairBudget); ok {
-				return oracle.NewPLL(ix)
-			}
-		}
-	}
-	g, err := snap.Graph()
-	if err != nil {
-		return nil
-	}
-	return oracle.BuildPLLParallel(g, oracle.WeightFunc(weight), runtime.NumCPU())
-}
-
 // Graph returns the expert network at the current epoch, materializing
 // it if this epoch was not materialized before (queries do not need
 // this — they read the epoch's view — so the cost is paid only by
 // callers that want an actual *Graph, e.g. to persist it).
 func (c *Client) Graph() *Graph {
-	st, err := c.state()
-	if err != nil {
-		return nil
-	}
-	g, err := st.snap.Graph()
+	g, err := c.node.Store().Snapshot().Graph()
 	if err != nil {
 		return nil
 	}
@@ -489,92 +325,77 @@ func (c *Client) Graph() *Graph {
 
 // View returns the read-only graph view at the current epoch without
 // materializing anything.
-func (c *Client) View() GraphView {
-	st, err := c.state()
-	if err != nil {
-		return nil
-	}
-	return st.g
-}
+func (c *Client) View() GraphView { return c.node.Store().Snapshot().View() }
 
 // CompactJournal folds the write-ahead journal into a persisted base
 // graph (Journal+".base") so the next New with the same journal path
 // replays only mutations applied after the fold. It fails on clients
 // opened without a journal.
 func (c *Client) CompactJournal() error {
-	_, err := c.store.Compact()
+	_, err := c.node.Store().Compact()
 	return err
 }
 
 // Epoch returns the number of mutations applied since the client was
 // created (epochs are absolute: they survive compaction and restarts).
-func (c *Client) Epoch() uint64 { return c.store.Epoch() }
+func (c *Client) Epoch() uint64 { return c.node.Store().Epoch() }
 
 // Compactions reports how many journal folds the client's store has
 // performed (at creation, on demand via CompactJournal, or by the
 // background compactor).
-func (c *Client) Compactions() uint64 { return c.store.Compactions() }
+func (c *Client) Compactions() uint64 { return c.node.Store().Compactions() }
 
 // LogLen reports the resident mutation-log length: mutations applied
 // since the last fold re-based the in-memory store (or since creation
 // when no fold happened yet). Under a background compactor it stays
 // bounded by churn since the last fold.
-func (c *Client) LogLen() int { return c.store.LogLen() }
+func (c *Client) LogLen() int { return c.node.Store().LogLen() }
 
 // Close stops the replication follower and background compactor (if
 // any) and releases the mutation journal. Queries keep working;
-// further mutations fail with ErrClosed. The follower stops first —
-// its apply loop writes through the store being shut down.
-func (c *Client) Close() error {
-	c.followMu.Lock()
-	c.followClosed = true
-	f := c.follower
-	c.followMu.Unlock()
-	if f != nil {
-		f.Stop()
-	}
-	if c.compactor != nil {
-		c.compactor.Stop()
-	}
-	return c.store.Close()
-}
+// further mutations fail with ErrClosed.
+func (c *Client) Close() error { return c.node.Close() }
 
 // WaitEpoch blocks until the client's store has reached at least the
 // given epoch (true), or ctx expires (reports whether the epoch was
 // reached anyway). On a following client this is the read-your-writes
 // primitive: wait for the epoch a leader acknowledged, then query.
 func (c *Client) WaitEpoch(ctx context.Context, epoch uint64) bool {
-	return c.store.WaitEpoch(ctx, epoch)
+	return c.node.Store().WaitEpoch(ctx, epoch)
 }
 
 // FollowerStats reports the replication apply loop (the current one,
 // after a failover restarted it); ok is false on a standalone
 // (non-following) client.
 func (c *Client) FollowerStats() (live.FollowerStats, bool) {
-	c.followMu.Lock()
-	f := c.follower
-	c.followMu.Unlock()
-	if f == nil {
-		return live.FollowerStats{}, false
-	}
-	return f.Stats(), true
+	return c.node.FollowerStats()
 }
 
-// awaitEpoch is the read-your-writes tail of a forwarded mutation:
-// the leader committed at epoch, now wait (bounded) for the local
-// replica to catch up so the caller's next query observes the write.
-func (c *Client) awaitEpoch(epoch uint64) error {
+// mutate runs one mutation: applied to the local store on a standalone
+// client; on a following client forwarded to the leader (with
+// failover) and then waited for locally, so read-your-writes holds.
+func (c *Client) mutate(local func(*live.Store) (uint64, error), remote func(*repl.Leader) (uint64, error)) error {
+	if c.leader.Load() == nil {
+		_, err := local(c.node.Store())
+		return err
+	}
+	epoch, err := c.forward(remote)
+	if err != nil {
+		return err
+	}
+	// The leader committed at epoch; wait (bounded) for the local
+	// replica to catch up so the caller's next query observes the write.
 	wait := c.opt.FollowWait
 	if wait <= 0 {
 		wait = 5 * time.Second
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
-	if c.store.WaitEpoch(ctx, epoch) {
+	if c.node.Store().WaitEpoch(ctx, epoch) {
 		return nil
 	}
 	return fmt.Errorf("%w: write committed at leader epoch %d, replica at %d",
-		ErrReplicationLag, epoch, c.store.Epoch())
+		ErrReplicationLag, epoch, c.node.Store().Epoch())
 }
 
 // AddExpert adds a new expert with the given authority and skills. The
@@ -582,92 +403,57 @@ func (c *Client) awaitEpoch(epoch uint64) error {
 // following client the mutation is forwarded to the leader and then
 // waited for locally.
 func (c *Client) AddExpert(name string, authority float64, skills ...string) (NodeID, error) {
-	if c.leader.Load() != nil {
-		var id NodeID
-		epoch, err := c.forward(func(l *repl.Leader) (uint64, error) {
-			i, e, err := l.AddNode(name, authority, skills)
-			id = i
-			return e, err
-		})
-		if err != nil {
-			return 0, err
-		}
-		return id, c.awaitEpoch(epoch)
-	}
-	id, _, err := c.store.AddExpert(name, authority, skills)
+	var id NodeID
+	err := c.mutate(func(s *live.Store) (epoch uint64, err error) {
+		id, epoch, err = s.AddExpert(name, authority, skills)
+		return epoch, err
+	}, func(l *repl.Leader) (epoch uint64, err error) {
+		id, epoch, err = l.AddNode(name, authority, skills)
+		return epoch, err
+	})
 	return id, err
 }
 
 // AddCollaboration adds an undirected collaboration edge between two
 // experts with communication cost w.
 func (c *Client) AddCollaboration(u, v NodeID, w float64) error {
-	if c.leader.Load() != nil {
-		epoch, err := c.forward(func(l *repl.Leader) (uint64, error) { return l.AddEdge(u, v, w) })
-		if err != nil {
-			return err
-		}
-		return c.awaitEpoch(epoch)
-	}
-	_, err := c.store.AddCollaboration(u, v, w)
-	return err
+	return c.mutate(
+		func(s *live.Store) (uint64, error) { return s.AddCollaboration(u, v, w) },
+		func(l *repl.Leader) (uint64, error) { return l.AddEdge(u, v, w) })
 }
 
 // UpdateExpert updates an expert's authority (nil leaves it unchanged)
 // and/or grants additional skills.
 func (c *Client) UpdateExpert(id NodeID, authority *float64, addSkills ...string) error {
-	if c.leader.Load() != nil {
-		epoch, err := c.forward(func(l *repl.Leader) (uint64, error) { return l.UpdateNode(id, authority, addSkills) })
-		if err != nil {
-			return err
-		}
-		return c.awaitEpoch(epoch)
-	}
-	_, err := c.store.UpdateExpert(id, authority, addSkills)
-	return err
+	return c.mutate(
+		func(s *live.Store) (uint64, error) { return s.UpdateExpert(id, authority, addSkills) },
+		func(l *repl.Leader) (uint64, error) { return l.UpdateNode(id, authority, addSkills) })
 }
 
 // RemoveCollaboration removes the collaboration edge between two
 // experts. Subsequent queries never route through it (read-your-writes
 // holds, as for every mutation).
 func (c *Client) RemoveCollaboration(u, v NodeID) error {
-	if c.leader.Load() != nil {
-		epoch, err := c.forward(func(l *repl.Leader) (uint64, error) { return l.RemoveEdge(u, v) })
-		if err != nil {
-			return err
-		}
-		return c.awaitEpoch(epoch)
-	}
-	_, err := c.store.RemoveCollaboration(u, v)
-	return err
+	return c.mutate(
+		func(s *live.Store) (uint64, error) { return s.RemoveCollaboration(u, v) },
+		func(l *repl.Leader) (uint64, error) { return l.RemoveEdge(u, v) })
 }
 
 // RemoveExpert tombstones an expert: its collaborations are dropped,
 // its skills cleared, and every further mutation referencing it fails
 // with live.ErrRemovedNode. The NodeID is never reused.
 func (c *Client) RemoveExpert(id NodeID) error {
-	if c.leader.Load() != nil {
-		epoch, err := c.forward(func(l *repl.Leader) (uint64, error) { return l.RemoveNode(id) })
-		if err != nil {
-			return err
-		}
-		return c.awaitEpoch(epoch)
-	}
-	_, err := c.store.RemoveExpert(id)
-	return err
+	return c.mutate(
+		func(s *live.Store) (uint64, error) { return s.RemoveExpert(id) },
+		func(l *repl.Leader) (uint64, error) { return l.RemoveNode(id) })
 }
 
 // UpdateCollaboration replaces the communication cost of an existing
 // collaboration edge.
 func (c *Client) UpdateCollaboration(u, v NodeID, w float64) error {
-	if c.leader.Load() != nil {
-		epoch, err := c.forward(func(l *repl.Leader) (uint64, error) { return l.UpdateEdge(u, v, w) })
-		if err != nil {
-			return err
-		}
-		return c.awaitEpoch(epoch)
-	}
-	_, err := c.store.UpdateCollaboration(u, v, w)
-	return err
+	return c.mutate(
+		func(s *live.Store) (uint64, error) { return s.UpdateCollaboration(u, v, w) },
+		func(l *repl.Leader) (uint64, error) { return l.UpdateEdge(u, v, w) })
 }
 
 // Gamma returns the connector-authority tradeoff parameter.
@@ -676,19 +462,49 @@ func (c *Client) Gamma() float64 { return c.opt.Gamma }
 // Lambda returns the skill-holder-authority tradeoff parameter.
 func (c *Client) Lambda() float64 { return c.opt.Lambda }
 
-// ResolveSkills maps skill names to IDs, failing on unknown names.
-func (c *Client) ResolveSkills(names []string) ([]SkillID, error) {
-	st, err := c.state()
-	if err != nil {
-		return nil, err
-	}
-	return resolveSkills(st, names)
+// state is one query's consistent serving state: the current epoch's
+// snapshot and its fit, whose Graph is the snapshot's view.
+type state struct {
+	snap *live.Snapshot
+	p    *transform.Params
 }
 
-func resolveSkills(st *clientState, names []string) ([]SkillID, error) {
+func (c *Client) state() (state, error) {
+	snap := c.node.Store().Snapshot()
+	p, err := c.node.Params(snap, c.opt.Gamma, c.opt.Lambda)
+	return state{snap: snap, p: p}, err
+}
+
+// index returns the cover answering method m's distances at st, or nil
+// — per-root Dijkstra — without Options.BuildIndex or while the node
+// rebuilds the cover in the background.
+func (c *Client) index(st state, m Method) oracle.Oracle {
+	if !c.opt.BuildIndex {
+		return nil
+	}
+	return c.node.Index(st.snap, st.p, m)
+}
+
+// query resolves the serving state and the named skills.
+func (c *Client) query(skills []string) (state, []SkillID, error) {
+	st, err := c.state()
+	if err != nil {
+		return st, nil, err
+	}
+	project, err := resolveSkills(st.p.Graph(), skills)
+	return st, project, err
+}
+
+// ResolveSkills maps skill names to IDs, failing on unknown names.
+func (c *Client) ResolveSkills(names []string) ([]SkillID, error) {
+	_, project, err := c.query(names)
+	return project, err
+}
+
+func resolveSkills(g GraphView, names []string) ([]SkillID, error) {
 	out := make([]SkillID, len(names))
 	for i, n := range names {
-		id, ok := st.g.SkillID(n)
+		id, ok := g.SkillID(n)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownSkill, n)
 		}
@@ -697,86 +513,61 @@ func resolveSkills(st *clientState, names []string) ([]SkillID, error) {
 	return out, nil
 }
 
-func (st *clientState) discoverer(m Method) *core.Discoverer {
-	var opts []core.Option
-	idx := st.gIdx
-	if m == CC {
-		idx = st.rawIdx
-	}
-	if idx != nil {
-		opts = append(opts, core.WithOracle(idx))
-	}
-	return core.NewDiscoverer(st.params, m, opts...)
-}
-
 // BestTeam returns the best team covering the named skills under the
 // given ranking strategy.
 func (c *Client) BestTeam(m Method, skills []string) (*Team, error) {
-	st, err := c.state()
+	teams, err := c.TopK(m, skills, 1)
 	if err != nil {
 		return nil, err
 	}
-	project, err := resolveSkills(st, skills)
-	if err != nil {
-		return nil, err
-	}
-	return st.discoverer(m).BestTeam(project)
+	return teams[0], nil
 }
 
 // TopK returns up to k distinct teams in increasing cost order.
 func (c *Client) TopK(m Method, skills []string, k int) ([]*Team, error) {
-	st, err := c.state()
+	st, project, err := c.query(skills)
 	if err != nil {
 		return nil, err
 	}
-	project, err := resolveSkills(st, skills)
-	if err != nil {
-		return nil, err
+	var opts []core.Option
+	if idx := c.index(st, m); idx != nil {
+		opts = append(opts, core.WithOracle(idx))
 	}
-	return st.discoverer(m).TopK(project, k)
+	return core.NewDiscoverer(st.p, m, opts...).TopK(project, k)
 }
 
 // TopKParallel is TopK with the root scan of Algorithm 1 sharded over
 // the given number of goroutines; results are identical to TopK. It
 // shines on paper-scale (40K-node) graphs with the index built.
 func (c *Client) TopKParallel(m Method, skills []string, k, workers int) ([]*Team, error) {
-	st, err := c.state()
+	st, project, err := c.query(skills)
 	if err != nil {
 		return nil, err
 	}
-	project, err := resolveSkills(st, skills)
-	if err != nil {
-		return nil, err
-	}
-	var dist oracle.Oracle
-	idx := st.gIdx
-	if m == CC {
-		idx = st.rawIdx
-	}
-	if idx != nil {
-		dist = idx
-	}
-	return core.TopKParallel(st.params, m, project, k, workers, dist)
+	return core.TopKParallel(st.p, m, project, k, workers, c.index(st, m))
 }
 
 // Random runs the paper's Random baseline: trials random teams, best
-// SA-CA-CC kept. A nil rng uses a fixed seed.
+// SA-CA-CC kept. A nil rng uses a fixed seed. With Options.BuildIndex
+// the trials are scored through distances (RandomFast) — the cover's,
+// or per-root Dijkstra's while it is rebuilt — so the result does not
+// depend on when a rebuild lands.
 func (c *Client) Random(skills []string, trials int, rng *rand.Rand) (*Team, error) {
-	st, err := c.state()
-	if err != nil {
-		return nil, err
-	}
-	project, err := resolveSkills(st, skills)
+	st, project, err := c.query(skills)
 	if err != nil {
 		return nil, err
 	}
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	if st.gIdx != nil {
-		return core.RandomFast(st.params, project, trials, rng, st.gIdx)
+	if !c.opt.BuildIndex {
+		return core.Random(st.p, project, trials, rng)
 	}
-	return core.Random(st.params, project, trials, rng)
+	dist := c.index(st, SACACC)
+	if dist == nil {
+		dist = oracle.NewDijkstra(st.p.Graph(), st.p.EdgeWeight())
+	}
+	return core.RandomFast(st.p, project, trials, rng, dist)
 }
 
 // ExactOptions re-exports the exhaustive-search knobs.
@@ -786,18 +577,14 @@ type ExactOptions = core.ExactOptions
 // the assignment space exceeds the budget (the paper's Exact baseline
 // does not terminate beyond 6 skills).
 func (c *Client) Exact(skills []string, opt ExactOptions) (*Team, error) {
-	st, err := c.state()
+	st, project, err := c.query(skills)
 	if err != nil {
 		return nil, err
 	}
-	project, err := resolveSkills(st, skills)
-	if err != nil {
-		return nil, err
+	if opt.Oracle == nil {
+		opt.Oracle = c.index(st, SACACC)
 	}
-	if opt.Oracle == nil && st.gIdx != nil {
-		opt.Oracle = st.gIdx
-	}
-	return core.Exact(st.params, project, opt)
+	return core.Exact(st.p, project, opt)
 }
 
 // RarestFirst runs the classic Lappas et al. (KDD'09) heuristic — the
@@ -805,33 +592,21 @@ func (c *Client) Exact(skills []string, opt ExactOptions) (*Team, error) {
 // authority-blind baseline: anchor at a holder of the rarest skill,
 // attach the nearest holder of every other skill.
 func (c *Client) RarestFirst(skills []string) (*Team, error) {
-	st, err := c.state()
+	st, project, err := c.query(skills)
 	if err != nil {
 		return nil, err
 	}
-	project, err := resolveSkills(st, skills)
-	if err != nil {
-		return nil, err
-	}
-	var dist oracle.Oracle
-	if st.rawIdx != nil {
-		dist = st.rawIdx
-	}
-	return core.RarestFirst(st.params, project, dist)
+	return core.RarestFirst(st.p, project, c.index(st, CC))
 }
 
 // Pareto approximates the Pareto front over the raw (CC, CA, SA)
 // objectives — the paper's §5 future-work direction.
 func (c *Client) Pareto(skills []string, opt core.ParetoOptions) ([]ParetoTeam, error) {
-	st, err := c.state()
+	st, project, err := c.query(skills)
 	if err != nil {
 		return nil, err
 	}
-	project, err := resolveSkills(st, skills)
-	if err != nil {
-		return nil, err
-	}
-	return core.ParetoFront(st.g, project, opt)
+	return core.ParetoFront(st.p.Graph(), project, opt)
 }
 
 // ParetoOptions re-exports the sweep configuration.
@@ -850,7 +625,7 @@ func (c *Client) ReplaceMember(t *Team, leaver NodeID, k int) ([]Replacement, er
 	if err != nil {
 		return nil, err
 	}
-	return core.ReplaceMember(st.params, t, leaver, k)
+	return core.ReplaceMember(st.p, t, leaver, k)
 }
 
 // Evaluate computes every objective of the paper for t under the
@@ -860,16 +635,12 @@ func (c *Client) Evaluate(t *Team) Score {
 	if err != nil {
 		return Score{}
 	}
-	return team.Evaluate(t, st.params)
+	return team.Evaluate(t, st.p)
 }
 
 // Profile summarizes t's authority and publication statistics.
 func (c *Client) Profile(t *Team) Profile {
-	st, err := c.state()
-	if err != nil {
-		return Profile{}
-	}
-	return team.ProfileOf(t, st.g)
+	return team.ProfileOf(t, c.View())
 }
 
 // --- Corpus helpers -----------------------------------------------------

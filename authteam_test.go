@@ -5,7 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
+
+	"authteam/internal/team"
+	"authteam/internal/transform"
+	"authteam/internal/workload"
 )
 
 // smallNetwork builds a hand-checkable network: two database experts
@@ -325,5 +331,125 @@ func TestCorpusPipeline(t *testing.T) {
 	}
 	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
 		t.Error("round-trip lost data")
+	}
+}
+
+// TestIndexedClientAfterBoundsMoveMatchesFreshClient pins the indexed
+// client's serving policy after a write its covers cannot absorb: an
+// authority update to a new extreme moves the normalization bounds,
+// every G' weight changes, and the covers are rebuilt in the
+// background. TopK, Random and Exact must equal those of a fresh
+// indexed client over the same graph both right after the write (per-
+// root Dijkstra while the rebuild runs) and once it has landed.
+func TestIndexedClientAfterBoundsMoveMatchesFreshClient(t *testing.T) {
+	corpus := SynthesizeCorpus(SynthConfig{Seed: 1, Authors: 200})
+	g, err := BuildCorpusGraph(corpus, CorpusGraphOptions{LargestComponent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Gamma: 0.6, Lambda: 0.6, BuildIndex: true}
+	c, err := New(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	gen, err := workload.NewGenerator(g, 5, workload.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var projects [][]string
+	for i := 0; i < 4; i++ {
+		ids, err := gen.Project(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(ids))
+		for j, id := range ids {
+			names[j] = g.SkillName(id)
+		}
+		projects = append(projects, names)
+	}
+
+	lo, hi := c.View().InvAuthorityBounds()
+	auth := 1000.0
+	if err := c.UpdateExpert(0, &auth); err != nil {
+		t.Fatal(err)
+	}
+	if lo2, hi2 := c.View().InvAuthorityBounds(); lo2 == lo && hi2 == hi {
+		t.Fatal("the authority update left the normalization bounds in place")
+	}
+	rebuilds := c.node.IndexStats().FullRebuilds
+
+	matchFresh := func(stage string) {
+		t.Helper()
+		fresh, err := New(c.Graph(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		for _, skills := range projects {
+			for _, m := range []Method{CC, CACC, SACACC} {
+				got, err1 := c.TopK(m, skills, 3)
+				want, err2 := fresh.TopK(m, skills, 3)
+				if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %v TopK%v = %v (%v), fresh client %v (%v)", stage, m, skills, got, err1, want, err2)
+				}
+			}
+			got, err1 := c.Random(skills, 300, rand.New(rand.NewSource(9)))
+			want, err2 := fresh.Random(skills, 300, rand.New(rand.NewSource(9)))
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Random%v = %v (%v), fresh client %v (%v)", stage, skills, got, err1, want, err2)
+			}
+			got, err1 = c.Exact(skills, ExactOptions{})
+			want, err2 = fresh.Exact(skills, ExactOptions{})
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Exact%v = %v (%v), fresh client %v (%v)", stage, skills, got, err1, want, err2)
+			}
+		}
+	}
+	matchFresh("right after the write")
+	deadline := time.Now().Add(10 * time.Second)
+	for c.node.IndexStats().PendingRebuild {
+		if time.Now().After(deadline) {
+			t.Fatal("background rebuild still pending after 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Authority leaves raw weights alone, so only the γ cover rebuilds.
+	if st := c.node.IndexStats(); st.FullRebuilds != rebuilds+1 {
+		t.Fatalf("index stats %+v: want the γ cover rebuilt, not repaired", st)
+	}
+	matchFresh("after the rebuild")
+}
+
+// TestNoNormalizeReachesFit pins that Options.NoNormalize reaches the
+// serving core's fit: the client scores a team exactly as an
+// unnormalized fit of its graph does, and differently from a
+// normalizing client.
+func TestNoNormalizeReachesFit(t *testing.T) {
+	g := smallNetwork(t)
+	raw, err := New(g, Options{Gamma: 0.6, Lambda: 0.6, NoNormalize: true, BuildIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	norm, err := New(g, Options{Gamma: 0.6, Lambda: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer norm.Close()
+	tm, err := raw.BestTeam(SACACC, []string{"databases", "networks"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := transform.Fit(g, 0.6, 0.6, transform.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := raw.Evaluate(tm), team.Evaluate(tm, p); got != want {
+		t.Fatalf("NoNormalize client scores %+v, unnormalized fit %+v", got, want)
+	}
+	if raw.Evaluate(tm) == norm.Evaluate(tm) {
+		t.Fatal("NoNormalize changed no score")
 	}
 }

@@ -204,7 +204,6 @@ func runServe(args []string) {
 		followIv  = fs.Duration("follow-poll", 0, "replication long-poll bound (0 = default 25s)")
 		minWait   = fs.Duration("min-epoch-wait", 0, "max time a read carrying X-Authteam-Min-Epoch blocks for replication before redirecting/failing (0 = default 5s)")
 		commitBat = fs.Int("commit-batch", 0, "max mutations per group commit — one journal write + one epoch publish per batch (0 = default 256)")
-		visits    = fs.Int("repair-visit-budget", 0, "max label visits one incremental index repair may spend before falling back to an async rebuild (0 disables the cap)")
 		debugAddr = fs.String("debug-addr", "", "private debug listener for pprof and /metrics (e.g. localhost:7511; empty disables)")
 		logFormat = fs.String("log-format", "text", "structured log format: text | json")
 		readyLagE = fs.Int64("ready-lag-epochs", 0, "follower /readyz turns 503 past this many epochs of replication lag (0 = default 4096, negative disables)")
@@ -236,7 +235,6 @@ func runServe(args []string) {
 		JournalPath:        *journal,
 		JournalSync:        *jsync,
 		RepairBudget:       *budget,
-		RepairVisitBudget:  *visits,
 		CompactThreshold:   *compactAt,
 		CompactInterval:    *compactIv,
 		CompactBytes:       *compactBy,

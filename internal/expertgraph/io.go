@@ -87,6 +87,9 @@ func Read(r io.Reader) (*Graph, error) {
 	if f.Version != ioFormatVersion {
 		return nil, fmt.Errorf("expertgraph: unsupported format version %d", f.Version)
 	}
+	if err := f.check(); err != nil {
+		return nil, fmt.Errorf("expertgraph: decode: %w", err)
+	}
 	b := NewBuilder(len(f.Nodes), len(f.EdgeU))
 	for i, nd := range f.Nodes {
 		id := b.AddNode(nd.Name, nd.Authority)
@@ -109,6 +112,34 @@ func Read(r io.Reader) (*Graph, error) {
 		g.WidenBounds(f.MinW, f.MaxW, f.MinInv, f.MaxInv)
 	}
 	return g, nil
+}
+
+// check rejects what the rebuild in Read would index out of range:
+// skill offsets that are not one per node plus one, ascending and
+// inside NodeSk; skill IDs past the skill table; and edge arrays of
+// unequal length. Endpoints and weights are the builder's to validate.
+func (f *flatGraph) check() error {
+	off := f.NodeSkOff
+	if len(off) != len(f.Nodes)+1 {
+		return fmt.Errorf("%d skill offsets for %d nodes", len(off), len(f.Nodes))
+	}
+	if off[0] < 0 || int(off[len(off)-1]) > len(f.NodeSk) {
+		return fmt.Errorf("skill offsets [%d, %d] outside %d skill entries", off[0], off[len(off)-1], len(f.NodeSk))
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			return fmt.Errorf("skill offsets decrease at node %d", i-1)
+		}
+	}
+	for _, s := range f.NodeSk {
+		if s < 0 || int(s) >= len(f.SkillNames) {
+			return fmt.Errorf("skill ID %d outside %d skill names", s, len(f.SkillNames))
+		}
+	}
+	if len(f.EdgeV) != len(f.EdgeU) || len(f.EdgeW) != len(f.EdgeU) {
+		return fmt.Errorf("edge arrays of lengths %d, %d, %d", len(f.EdgeU), len(f.EdgeV), len(f.EdgeW))
+	}
+	return nil
 }
 
 // SaveFile writes g to path, creating or truncating it.

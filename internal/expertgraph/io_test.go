@@ -2,6 +2,7 @@ package expertgraph
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -42,6 +43,37 @@ func TestLoadFileMissing(t *testing.T) {
 func TestReadGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("not a graph"))); err == nil {
 		t.Error("reading garbage should fail")
+	}
+}
+
+// TestReadMalformed feeds Read well-formed gob streams whose arrays do
+// not fit together. Each used to panic with an index out of range while
+// the graph was rebuilt; each must be an error.
+func TestReadMalformed(t *testing.T) {
+	cases := map[string]func(f *flatGraph){
+		"short skill offsets": func(f *flatGraph) { f.NodeSkOff = f.NodeSkOff[:len(f.Nodes)] },
+		"skill past table":    func(f *flatGraph) { f.NodeSk[0] = SkillID(len(f.SkillNames)) },
+		"short EdgeV":         func(f *flatGraph) { f.EdgeV = f.EdgeV[:len(f.EdgeV)-1] },
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Write(&buf, buildDiamond(t)); err != nil {
+				t.Fatal(err)
+			}
+			var f flatGraph
+			if err := gob.NewDecoder(&buf).Decode(&f); err != nil {
+				t.Fatal(err)
+			}
+			damage(&f)
+			buf.Reset()
+			if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Read(&buf); err == nil {
+				t.Fatal("malformed stream decoded without error")
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -246,4 +247,53 @@ func TestCompactWithoutJournal(t *testing.T) {
 	if _, err := st.Compact(); err != ErrNoJournal {
 		t.Fatalf("Compact without journal: %v, want ErrNoJournal", err)
 	}
+}
+
+// FuzzReadBaseStream decodes arbitrary bytes as a replication base,
+// the body a follower fetches from GET /v1/journal/base. A malformed
+// body must be an error, never a panic: the follower's base fetch has
+// no recover, so one bad response would crash every following process.
+// A body that decodes must survive a re-encode with its epoch, term
+// and shape intact.
+func FuzzReadBaseStream(f *testing.F) {
+	b := expertgraph.NewBuilder(5, 4)
+	ana := b.AddNode("ana", 10, "databases")
+	bo := b.AddNode("bo", 4, "networks", "ml")
+	cy := b.AddNode("cy", 7, "ml")
+	b.AddNode("gone", 3, "databases")
+	dee := b.AddNode("dee", 12)
+	b.AddEdge(ana, dee, 0.3)
+	b.AddEdge(dee, bo, 0.4)
+	b.AddEdge(dee, cy, 0.5)
+	b.RemoveNode(3)
+	g, err := b.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seed bytes.Buffer
+	if err := WriteBaseStream(&seed, g, 7, 2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add(seed.Bytes()[:seed.Len()/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, epoch, term, err := ReadBaseStream(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteBaseStream(&out, g, epoch, term); err != nil {
+			t.Fatalf("re-encode a decoded base: %v", err)
+		}
+		g2, epoch2, term2, err := ReadBaseStream(&out)
+		if err != nil {
+			t.Fatalf("decode a re-encoded base: %v", err)
+		}
+		if epoch2 != epoch || term2 != term || g2.NumNodes() != g.NumNodes() ||
+			g2.NumEdges() != g.NumEdges() || g2.NumSkills() != g.NumSkills() || g2.NumRemoved() != g.NumRemoved() {
+			t.Fatalf("round trip changed the base: epoch %d→%d term %d→%d nodes %d→%d edges %d→%d",
+				epoch, epoch2, term, term2, g.NumNodes(), g2.NumNodes(), g.NumEdges(), g2.NumEdges())
+		}
+	})
 }

@@ -46,10 +46,6 @@ type RepairStats struct {
 	// Visits is the total label-touch count of the repair — the work
 	// measure to weigh against a full rebuild.
 	Visits int `json:"visits"`
-	// VisitsExceeded is set when the repair was abandoned because its
-	// visit count crossed RepairLimits.Visits mid-delta (ok=false); the
-	// caller should fall back to a rebuild.
-	VisitsExceeded bool `json:"visits_exceeded,omitempty"`
 }
 
 // Decremental reports whether the repair used decremental machinery
@@ -60,22 +56,6 @@ func (rs RepairStats) Decremental() bool { return rs.Removed > 0 }
 // Reweight reports whether the repair handled any weight-changing op
 // (edge re-weights or authority updates).
 func (rs RepairStats) Reweight() bool { return rs.Reweighted > 0 || rs.Authority > 0 }
-
-// RepairLimits bounds one MaintainIndexWithin call. The zero value is
-// unbounded.
-type RepairLimits struct {
-	// Mutations caps the delta length accepted for repair (≤ 0 means
-	// unbounded): a staleness budget — repaired labels are a superset
-	// of a fresh build's, so unbounded drift is undesirable anyway.
-	Mutations int
-	// Visits caps the repair's label-touch count (≤ 0 means
-	// unbounded): a work budget, checked after every mutation, so one
-	// pathological op — a central-edge removal invalidating a huge
-	// label region — abandons the repair early instead of costing more
-	// than the rebuild it was meant to avoid. An exceeded budget sets
-	// RepairStats.VisitsExceeded.
-	Visits int
-}
 
 // MaintainIndex returns an index valid at snapshot `to`, derived from
 // ix — an index valid at snapshot `from` over weight function weight —
@@ -114,22 +94,7 @@ type RepairLimits struct {
 // For weighted indexes, weight must be derived from `to`'s fitted
 // parameters and oldWeight (when supplied) from `from`'s. Both
 // snapshots must come from the same store. ix is not modified.
-//
-// budget caps the delta length (≤ 0 means unbounded); it is
-// RepairLimits.Mutations — MaintainIndexWithin adds a per-op visit
-// budget on top.
 func MaintainIndex(ix *pll.Index, from, to *Snapshot, weight, oldWeight WeightFunc, budget int) (*pll.Index, RepairStats, bool) {
-	return MaintainIndexWithin(ix, from, to, weight, oldWeight, RepairLimits{Mutations: budget})
-}
-
-// MaintainIndexWithin is MaintainIndex under explicit limits: the
-// staleness budget (lim.Mutations, checked up front) and the work
-// budget (lim.Visits, checked after every repaired mutation — the
-// first op to push the cumulative label-touch count past it abandons
-// the repair with ok=false and RepairStats.VisitsExceeded set, so a
-// single catastrophic decremental op costs at most one budget's worth
-// of work before the caller falls back to a rebuild).
-func MaintainIndexWithin(ix *pll.Index, from, to *Snapshot, weight, oldWeight WeightFunc, lim RepairLimits) (*pll.Index, RepairStats, bool) {
 	var rs RepairStats
 	if from.Adoptions() != to.Adoptions() {
 		// An adoption replaced the store's state between the anchors;
@@ -143,7 +108,7 @@ func MaintainIndexWithin(ix *pll.Index, from, to *Snapshot, weight, oldWeight We
 	if len(muts) == 0 {
 		return ix, rs, true
 	}
-	if lim.Mutations > 0 && len(muts) > lim.Mutations {
+	if budget > 0 && len(muts) > budget {
 		return nil, rs, false
 	}
 	// Repairs read through the overlay views, never a materialized
@@ -314,11 +279,6 @@ func MaintainIndexWithin(ix *pll.Index, from, to *Snapshot, weight, oldWeight We
 				d.IncreaseEdges(pg, heavier)
 			}
 			rs.Authority++
-		}
-		if lim.Visits > 0 && d.Visits() > lim.Visits {
-			rs.Visits = d.Visits()
-			rs.VisitsExceeded = true
-			return nil, rs, false
 		}
 	}
 	rs.Visits = d.Visits()

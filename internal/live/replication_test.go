@@ -416,9 +416,9 @@ func TestAdoptBasePersists(t *testing.T) {
 	}
 }
 
-// TestMaintainIndexVisitBudget pins the per-op visit cap: a removal
-// repair that would exceed the budget must bail out with
-// VisitsExceeded, while an unbounded run absorbs the same delta.
+// TestMaintainIndexVisitBudget pins that repair has no work budget: a
+// removal repair, however many labels it visits, absorbs the delta and
+// agrees with a rebuild.
 func TestMaintainIndexVisitBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	base := testGraph(rng, 35)
@@ -442,11 +442,8 @@ func TestMaintainIndexVisitBudget(t *testing.T) {
 	}
 	to := s.Snapshot()
 
-	if _, rs, ok := MaintainIndexWithin(ix, from, to, nil, nil, RepairLimits{Visits: 1}); ok || !rs.VisitsExceeded {
-		t.Fatalf("ok=%v stats=%+v under a 1-visit budget, want a VisitsExceeded refusal", ok, rs)
-	}
-	repaired, rs, ok := MaintainIndexWithin(ix, from, to, nil, nil, RepairLimits{})
-	if !ok || rs.VisitsExceeded {
+	repaired, rs, ok := MaintainIndex(ix, from, to, nil, nil, 0)
+	if !ok || rs.Removed != 1 {
 		t.Fatalf("unbounded repair refused: ok=%v stats=%+v", ok, rs)
 	}
 	g, err := to.Graph()

@@ -1,6 +1,7 @@
-package server
+package node
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -28,23 +29,22 @@ import (
 // protects against adversarial γ sweeps.
 const maxResidentIndexes = 8
 
-// indexSet owns the 2-hop cover indexes the server queries. Building
-// one is the expensive amortized step of the paper (§4.1), so the set
-// memoizes per weight-function key, carries resident indexes across
-// graph epochs with incremental repair (live.MaintainIndex), and
-// optionally persists each index next to the graph file for instant
-// reloads on restart.
+// indexSet owns the node's 2-hop cover indexes. Building one is the
+// expensive amortized step of the paper (§4.1), so the set memoizes per
+// weight-function key, carries resident indexes across graph epochs
+// with incremental repair (live.MaintainIndex), and optionally persists
+// each index for instant reloads on restart.
 //
-// Epoch discipline: every lookup is against one snapshot view, and the
+// Snapshot discipline: every lookup is against one snapshot, and the
 // returned oracle (when non-nil) answers distances for exactly that
-// epoch. A lookup that cannot be satisfied without a full rebuild
-// kicks the rebuild asynchronously and returns nil — the discovery
-// layer then falls back to exact per-root Dijkstra, so queries never
-// see distances from a dead epoch.
+// snapshot's lineage and epoch. A lookup that cannot be satisfied
+// without a full rebuild kicks the rebuild asynchronously and returns
+// nil — the discovery layer then falls back to exact per-root
+// Dijkstra, so queries never see distances from a dead epoch.
 type indexSet struct {
 	// base is the persistence path prefix ("" disables persistence);
-	// the index for key k lives at <base>.pll-<k>, with the epoch it
-	// was built at in the <base>.pll-<k>.epoch sidecar.
+	// the index for key k lives at <base>.pll-<k>, its first line
+	// naming the epoch it was built at.
 	base string
 	// store anchors persisted indexes: a file saved at epoch E is
 	// thawed against the store's reconstructed epoch-E snapshot and
@@ -56,12 +56,9 @@ type indexSet struct {
 	// cover build (see pll.Options.Workers); repairs stay serial, they
 	// are already sub-millisecond.
 	workers int
-	// visitBudget caps the label-visit work of a single repair
-	// operation: a repair whose resumed Dijkstras touch more than this
-	// many labels is abandoned in favor of an async rebuild, bounding
-	// the tail latency a pathological delta (hub removal) can inject
-	// into the request path. 0 disables the cap.
-	visitBudget int
+	// normalize is the node's fit setting, used to re-fit the epoch a
+	// persisted index was saved at.
+	normalize bool
 
 	mu      sync.Mutex
 	entries map[string]*indexEntry
@@ -83,9 +80,6 @@ type indexSet struct {
 	repairsInsert      atomic.Uint64
 	repairsDecremental atomic.Uint64
 	repairsReweight    atomic.Uint64
-	// visitTrips counts repairs abandoned because they exceeded
-	// visitBudget (each one fell back to an async rebuild).
-	visitTrips atomic.Uint64
 
 	// Registry instruments (nil with observation off; every obs method
 	// is a nil-safe no-op, so the maintenance paths need no guards).
@@ -106,7 +100,7 @@ type indexEntry struct {
 	params *transform.Params
 }
 
-func newIndexSet(base string, store *live.Store, repairBudget, visitBudget, workers int, reg *obs.Registry) *indexSet {
+func newIndexSet(base string, store *live.Store, repairBudget, workers int, normalize bool, reg *obs.Registry) *indexSet {
 	if workers < 1 {
 		workers = 1
 	}
@@ -115,7 +109,7 @@ func newIndexSet(base string, store *live.Store, repairBudget, visitBudget, work
 		store:        store,
 		repairBudget: repairBudget,
 		workers:      workers,
-		visitBudget:  visitBudget,
+		normalize:    normalize,
 		entries:      make(map[string]*indexEntry),
 		building:     make(map[string]chan struct{}),
 	}
@@ -138,9 +132,6 @@ func newIndexSet(base string, store *live.Store, repairBudget, visitBudget, work
 		reg.CounterFunc("authteam_index_rebuilds_total",
 			"Full index builds (cold start, stale load, async refresh).",
 			func() float64 { return float64(s.rebuilds.Load()) })
-		reg.CounterFunc("authteam_index_repair_visit_trips_total",
-			"Repairs abandoned for exceeding the visit budget.",
-			func() float64 { return float64(s.visitTrips.Load()) })
 	}
 	return s
 }
@@ -154,26 +145,15 @@ func indexKey(m core.Method, gamma float64) string {
 	return fmt.Sprintf("g%.9g", gamma)
 }
 
-// indexSetStats is the maintenance-counter snapshot of the set.
-type indexSetStats struct {
-	pending            bool
-	repairs, rebuilds  uint64
-	repairsInsert      uint64
-	repairsDecremental uint64
-	repairsReweight    uint64
-	visitTrips         uint64
-}
-
 // stats reports the set's maintenance counters.
-func (s *indexSet) stats() indexSetStats {
-	return indexSetStats{
-		pending:            s.pending.Load() > 0,
-		repairs:            s.repairs.Load(),
-		rebuilds:           s.rebuilds.Load(),
-		repairsInsert:      s.repairsInsert.Load(),
-		repairsDecremental: s.repairsDecremental.Load(),
-		repairsReweight:    s.repairsReweight.Load(),
-		visitTrips:         s.visitTrips.Load(),
+func (s *indexSet) stats() IndexStats {
+	return IndexStats{
+		PendingRebuild:     s.pending.Load() > 0,
+		IncrementalRepairs: s.repairs.Load(),
+		FullRebuilds:       s.rebuilds.Load(),
+		RepairsInsert:      s.repairsInsert.Load(),
+		RepairsDecremental: s.repairsDecremental.Load(),
+		RepairsReweight:    s.repairsReweight.Load(),
 	}
 }
 
@@ -200,18 +180,34 @@ func (s *indexSet) countRepair(rs live.RepairStats, elapsed time.Duration) {
 	s.repairVisits.With(kind).Add(uint64(rs.Visits))
 }
 
+// sameState reports whether two snapshots of the store describe the
+// same state: one adoption lineage, one epoch.
+func sameState(a, b *live.Snapshot) bool {
+	return a.Adoptions() == b.Adoptions() && a.Epoch() == b.Epoch()
+}
+
+// older reports whether a precedes b in the store's history. Epochs
+// order snapshots only within one lineage; across an adoption the later
+// lineage is the newer state, whatever its epoch.
+func older(a, b *live.Snapshot) bool {
+	if a.Adoptions() != b.Adoptions() {
+		return a.Adoptions() < b.Adoptions()
+	}
+	return a.Epoch() < b.Epoch()
+}
+
 // forMethod returns an index oracle serving method m under params p at
-// the view's epoch, or nil when no epoch-exact index is resident yet
-// (the caller must then answer with per-root Dijkstra). Resident
-// epoch-exact keys are served with a map lookup; a stale resident key
+// snap, or nil when no index exact for snap is resident yet (the
+// caller must then answer with per-root Dijkstra). A resident index of
+// the same state is served with a map lookup; a stale resident index
 // is repaired in place when the mutation delta allows it and rebuilt
-// asynchronously otherwise; a missing key is built synchronously,
-// exactly once.
-func (s *indexSet) forMethod(v view, p *transform.Params, m core.Method) oracle.Oracle {
+// asynchronously otherwise (always across an adoption); a missing key
+// is built synchronously, exactly once.
+func (s *indexSet) forMethod(snap *live.Snapshot, p *transform.Params, m core.Method) oracle.Oracle {
 	key := indexKey(m, p.Gamma)
 	s.mu.Lock()
 	for {
-		if e, ok := s.entries[key]; ok && e.snap.Epoch() == v.epoch() {
+		if e, ok := s.entries[key]; ok && sameState(e.snap, snap) {
 			s.mu.Unlock()
 			return e.oracle
 		}
@@ -264,21 +260,21 @@ func (s *indexSet) forMethod(v view, p *transform.Params, m core.Method) oracle.
 
 	if stale == nil {
 		// Cold start for this key: disk, else a synchronous build.
-		o := s.load(key, v, p, m)
+		o := s.load(key, snap, p, m)
 		if o == nil {
-			o = s.build(v, p, m)
+			o = s.build(snap, p, m)
 			s.rebuilds.Add(1)
-			s.save(key, o.Index(), v.epoch())
+			s.save(key, o.Index(), snap.Epoch())
 		}
-		install(&indexEntry{oracle: o, snap: v.snap, params: entryParams})
+		install(&indexEntry{oracle: o, snap: snap, params: entryParams})
 		return o
 	}
 
-	// A view older than the resident entry (a slow request that
+	// A snapshot older than the resident entry (a slow request that
 	// resolved its snapshot before a sibling refreshed the index) must
-	// not rebuild for its already-dead epoch, let alone overwrite the
+	// not rebuild for its already-dead state, let alone overwrite the
 	// newer entry: answer it with per-root Dijkstra and move on.
-	if stale.snap.Epoch() > v.epoch() {
+	if older(snap, stale.snap) {
 		install(nil)
 		return nil
 	}
@@ -286,7 +282,8 @@ func (s *indexSet) forMethod(v view, p *transform.Params, m core.Method) oracle.
 	// Stale resident index: prefer carrying it forward incrementally.
 	// The old fit (the weights the resident entries were created under)
 	// rides along so decremental and authority re-weight repairs can
-	// recognize them.
+	// recognize them. MaintainIndex refuses a pair of snapshots that
+	// straddles an adoption, so a cover of another lineage is rebuilt.
 	var weight, oldWeight live.WeightFunc
 	if m != core.CC {
 		weight = p.EdgeWeight()
@@ -295,40 +292,37 @@ func (s *indexSet) forMethod(v view, p *transform.Params, m core.Method) oracle.
 		}
 	}
 	if s.repairBudget >= 0 {
-		lim := live.RepairLimits{Mutations: s.repairBudget, Visits: s.visitBudget}
 		rstart := time.Now()
-		if ix, rs, ok := live.MaintainIndexWithin(stale.oracle.Index(), stale.snap, v.snap, weight, oldWeight, lim); ok {
+		if ix, rs, ok := live.MaintainIndex(stale.oracle.Index(), stale.snap, snap, weight, oldWeight, s.repairBudget); ok {
 			o := oracle.NewPLL(ix)
 			s.countRepair(rs, time.Since(rstart))
-			install(&indexEntry{oracle: o, snap: v.snap, params: entryParams})
+			install(&indexEntry{oracle: o, snap: snap, params: entryParams})
 			return o
-		} else if rs.VisitsExceeded {
-			s.visitTrips.Add(1)
 		}
 	}
 
-	// Not repairable (authority update, normalization shift, or past
-	// the staleness budget): rebuild off the request path and serve
-	// this query — and every query until the build lands — with exact
+	// Not repairable (normalization shift, adoption, or past the
+	// staleness budget): rebuild off the request path and serve this
+	// query — and every query until the build lands — with exact
 	// per-root Dijkstra.
 	s.pending.Add(1)
 	go func() {
 		defer s.pending.Add(-1)
-		o := s.build(v, p, m)
+		o := s.build(snap, p, m)
 		s.rebuilds.Add(1)
-		s.save(key, o.Index(), v.epoch())
-		install(&indexEntry{oracle: o, snap: v.snap, params: entryParams})
+		s.save(key, o.Index(), snap.Epoch())
+		install(&indexEntry{oracle: o, snap: snap, params: entryParams})
 	}()
 	return nil
 }
 
-// build constructs a fresh 2-hop cover for method m at the view's
-// epoch. A full build is the one place the serving layer materializes
-// a graph: the O(n·m)-ish pruned-Dijkstra sweep touches every edge
-// many times, so it runs over the packed CSR copy rather than paying
-// the overlay's per-read overhead throughout; queries keep reading the
-// overlay and never wait on this copy.
-func (s *indexSet) build(v view, p *transform.Params, m core.Method) *oracle.PLLOracle {
+// build constructs a fresh 2-hop cover for method m at snap. A full
+// build is the one place the serving layer materializes a graph: the
+// O(n·m)-ish pruned-Dijkstra sweep touches every edge many times, so it
+// runs over the packed CSR copy rather than paying the overlay's
+// per-read overhead throughout; queries keep reading the overlay and
+// never wait on this copy.
+func (s *indexSet) build(snap *live.Snapshot, p *transform.Params, m core.Method) *oracle.PLLOracle {
 	mode := "sequential"
 	if s.workers > 1 {
 		mode = "parallel"
@@ -341,8 +335,8 @@ func (s *indexSet) build(v view, p *transform.Params, m core.Method) *oracle.PLL
 	if m != core.CC {
 		weight = p.EdgeWeight()
 	}
-	gv := expertgraph.GraphView(v.g)
-	if g, err := v.snap.Graph(); err == nil {
+	gv := snap.View()
+	if g, err := snap.Graph(); err == nil {
 		gv = g
 	}
 	// Mutations are validated before admission, so materialization
@@ -359,41 +353,40 @@ func (s *indexSet) build(v view, p *transform.Params, m core.Method) *oracle.PLL
 			tr.Lap(fmt.Sprintf("ranks[%d,%d)", lo, hi))
 		},
 	})
-	slog.Debug("server: index build", "mode", mode, "workers", s.workers,
+	slog.Debug("node: index build", "mode", mode, "workers", s.workers,
 		"total", tr.Total(), "block_count", blocks, "redone_ranks", redone,
 		"blocks", tr.Header())
 	return oracle.NewPLL(ix)
 }
 
 // load reads a previously persisted index for key. The index is
-// anchored at the epoch recorded in its sidecar: when the serving
-// epoch is ahead (journal replayed more mutations since the save), the
-// loaded index is repaired across the delta before use, or discarded
-// when the delta is not repairable — a persisted index must never be
-// served at an epoch it does not describe, and the final distance
-// spot-check guards against a silently regenerated graph file.
-func (s *indexSet) load(key string, v view, p *transform.Params, m core.Method) *oracle.PLLOracle {
+// anchored at the epoch its header records: when the serving epoch is
+// ahead (journal replayed more mutations since the save), the loaded
+// index is repaired across the delta before use, or discarded when the
+// delta is not repairable — a persisted index must never be served at
+// an epoch it does not describe, and the final distance spot-check
+// guards against a silently regenerated graph file.
+func (s *indexSet) load(key string, snap *live.Snapshot, p *transform.Params, m core.Method) *oracle.PLLOracle {
 	if s.base == "" {
 		return nil
 	}
 	path := s.path(key)
-	ix, err := pll.LoadFile(path)
+	ix, savedEpoch, err := readCover(path)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
-			slog.Warn("server: ignoring index", "path", path, "err", err)
+			slog.Warn("node: ignoring index", "path", path, "err", err)
 		}
 		return nil
 	}
-	savedEpoch := s.loadEpoch(key)
-	if savedEpoch != v.epoch() {
+	if savedEpoch != snap.Epoch() {
 		from, ok := s.store.SnapshotAt(savedEpoch)
 		if !ok {
-			slog.Warn("server: ignoring index outside the store's history",
-				"path", path, "saved_epoch", savedEpoch, "store_epoch", v.epoch())
+			slog.Warn("node: ignoring index outside the store's history",
+				"path", path, "saved_epoch", savedEpoch, "store_epoch", snap.Epoch())
 			return nil
 		}
 		if ix.NumNodes() != from.NumNodes() {
-			slog.Warn("server: ignoring stale index",
+			slog.Warn("node: ignoring stale index",
 				"path", path, "index_nodes", ix.NumNodes(),
 				"saved_epoch", savedEpoch, "epoch_nodes", from.NumNodes())
 			return nil
@@ -405,51 +398,32 @@ func (s *indexSet) load(key string, v view, p *transform.Params, m core.Method) 
 			// epoch; re-fit that epoch's view so decremental repair can
 			// recognize entries created under the old authorities. The
 			// O(n) fit is noise next to the build the repair avoids.
-			if oldP, err := transform.Fit(from.View(), p.Gamma, p.Lambda, transform.Options{Normalize: true}); err == nil {
+			if oldP, err := transform.Fit(from.View(), p.Gamma, p.Lambda, transform.Options{Normalize: s.normalize}); err == nil {
 				oldWeight = oldP.EdgeWeight()
 			}
 		}
 		rstart := time.Now()
-		repaired, rs, ok := live.MaintainIndexWithin(ix, from, v.snap, weight, oldWeight,
-			live.RepairLimits{Mutations: s.repairBudget, Visits: s.visitBudget})
+		repaired, rs, ok := live.MaintainIndex(ix, from, snap, weight, oldWeight, s.repairBudget)
 		if !ok {
-			if rs.VisitsExceeded {
-				s.visitTrips.Add(1)
-			}
-			slog.Warn("server: ignoring index with unrepairable delta",
-				"path", path, "saved_epoch", savedEpoch, "store_epoch", v.epoch())
+			slog.Warn("node: ignoring index with unrepairable delta",
+				"path", path, "saved_epoch", savedEpoch, "store_epoch", snap.Epoch())
 			return nil
 		}
 		s.countRepair(rs, time.Since(rstart))
 		ix = repaired
 	}
-	if ix.NumNodes() != v.g.NumNodes() {
-		slog.Warn("server: ignoring stale index",
-			"path", path, "index_nodes", ix.NumNodes(), "graph_nodes", v.g.NumNodes())
+	if ix.NumNodes() != snap.NumNodes() {
+		slog.Warn("node: ignoring stale index",
+			"path", path, "index_nodes", ix.NumNodes(), "graph_nodes", snap.NumNodes())
 		return nil
 	}
 	o := oracle.NewPLL(ix)
-	if !s.verifyIndex(o, v, p, m) {
-		slog.Warn("server: ignoring stale index with mismatched distances", "path", path)
+	if !verifyIndex(o, snap.View(), p, m) {
+		slog.Warn("node: ignoring stale index with mismatched distances", "path", path)
 		return nil
 	}
-	slog.Info("server: loaded index", "path", path, "epoch", v.epoch(), "stats", ix.Stats())
+	slog.Info("node: loaded index", "path", path, "epoch", snap.Epoch(), "stats", ix.Stats())
 	return o
-}
-
-// loadEpoch reads the epoch sidecar of a persisted index; a missing or
-// unreadable sidecar anchors the file at epoch 0 (the base graph),
-// which is what pre-sidecar deployments persisted.
-func (s *indexSet) loadEpoch(key string) uint64 {
-	buf, err := os.ReadFile(s.epochPath(key))
-	if err != nil {
-		return 0
-	}
-	epoch, err := strconv.ParseUint(strings.TrimSpace(string(buf)), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return epoch
 }
 
 // verifyIndex spot-checks a loaded index against the view's graph: one
@@ -458,18 +432,18 @@ func (s *indexSet) loadEpoch(key string) uint64 {
 // same size but different edges or weights, which would silently make
 // every distance wrong. Costs one Dijkstra per load — noise next to a
 // rebuild.
-func (s *indexSet) verifyIndex(o *oracle.PLLOracle, v view, p *transform.Params, m core.Method) bool {
-	n := v.g.NumNodes()
+func verifyIndex(o *oracle.PLLOracle, g expertgraph.GraphView, p *transform.Params, m core.Method) bool {
+	n := g.NumNodes()
 	if n == 0 {
 		return true
 	}
 	src := expertgraph.NodeID(0)
 	for u := 1; u < n; u++ {
-		if v.g.Degree(expertgraph.NodeID(u)) > v.g.Degree(src) {
+		if g.Degree(expertgraph.NodeID(u)) > g.Degree(src) {
 			src = expertgraph.NodeID(u)
 		}
 	}
-	ws := expertgraph.NewDijkstraWorkspace(v.g)
+	ws := expertgraph.NewDijkstraWorkspace(g)
 	var sssp *expertgraph.SSSP
 	if m == core.CC {
 		sssp = ws.Run(src)
@@ -495,30 +469,88 @@ func distClose(a, b float64) bool {
 	return d <= 1e-9 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// save persists a freshly built index with its epoch sidecar; failures
-// are logged and non-fatal because persistence is purely a restart
-// optimization. Repaired indexes are not persisted — the journal
-// already makes their epochs reproducible, and a restart replays it
-// and repairs again from the saved anchor.
+// save persists a freshly built index; failures are logged and
+// non-fatal because persistence is purely a restart optimization.
+// Repaired indexes are not persisted — the journal already makes their
+// epochs reproducible, and a restart replays it and repairs again from
+// the saved anchor.
 func (s *indexSet) save(key string, ix *pll.Index, epoch uint64) {
 	if s.base == "" {
 		return
 	}
 	path := s.path(key)
-	if err := pll.SaveFile(path, ix); err != nil {
-		slog.Warn("server: persist index failed", "path", path, "err", err)
+	if err := writeCover(path, ix, epoch); err != nil {
+		slog.Warn("node: persist index failed", "path", path, "err", err)
 		return
 	}
-	if err := os.WriteFile(s.epochPath(key), []byte(strconv.FormatUint(epoch, 10)+"\n"), 0o644); err != nil {
-		slog.Warn("server: persist index epoch failed", "path", s.epochPath(key), "err", err)
-	}
-	slog.Info("server: persisted index", "path", path, "epoch", epoch, "stats", ix.Stats())
+	slog.Info("node: persisted index", "path", path, "epoch", epoch, "stats", ix.Stats())
 }
 
 func (s *indexSet) path(key string) string {
 	return s.base + ".pll-" + key
 }
 
-func (s *indexSet) epochPath(key string) string {
-	return s.path(key) + ".epoch"
+// coverHeader prefixes the first line of a persisted cover, followed
+// by the epoch the cover was built at; the pll encoding follows the
+// line.
+const coverHeader = "authteam-cover epoch "
+
+// writeCover persists ix with its epoch: to <path>.tmp, then renamed
+// into place, so a crash leaves the previous cover or the new one, each
+// with its own epoch, never a new cover paired with an old epoch. There
+// is no fsync: a cover is a rebuildable cache and Read validates every
+// label, so a torn file after a power loss costs one rebuild. The file
+// is stamped with the save's wall-clock time: a fresh file inherits the
+// filesystem's coarse clock, which can leave a cover rebuilt within one
+// timestamp tick with the mtime of the cover it replaced.
+func writeCover(path string, ix *pll.Index, epoch uint64) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	bw.WriteString(coverHeader + strconv.FormatUint(epoch, 10) + "\n")
+	if err := pll.Write(bw, ix); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	now := time.Now()
+	if err := os.Chtimes(tmp, now, now); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// readCover reads a cover written by writeCover and the epoch in its
+// header. A file without a parseable header is an error: its epoch is
+// unknown, so it cannot be anchored in the store's history.
+func readCover(path string) (*pll.Index, uint64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	line, err := br.ReadSlice('\n')
+	digits, ok := strings.CutPrefix(strings.TrimSuffix(string(line), "\n"), coverHeader)
+	if err != nil || !ok {
+		return nil, 0, errors.New("no epoch header")
+	}
+	epoch, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		return nil, 0, fmt.Errorf("bad epoch header: %w", err)
+	}
+	ix, err := pll.Read(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	return ix, epoch, nil
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"authteam/internal/expertgraph"
 )
@@ -160,32 +159,4 @@ func (ix *Index) validate() error {
 		}
 	}
 	return nil
-}
-
-// SaveFile writes the index to path.
-func SaveFile(path string, ix *Index) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("pll: save: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	if err := Write(bw, ix); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("pll: save: %w", err)
-	}
-	return f.Close()
-}
-
-// LoadFile reads an index from path.
-func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("pll: load: %w", err)
-	}
-	defer f.Close()
-	return Read(bufio.NewReader(f))
 }

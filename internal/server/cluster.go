@@ -166,9 +166,7 @@ func (s *Server) handleClusterPromote(w http.ResponseWriter, r *http.Request) {
 	// Drain: the follower loop finishes (or abandons) its current apply
 	// and stops; every epoch it committed is part of the shared prefix
 	// we seal below.
-	if s.follower != nil {
-		s.follower.Stop()
-	}
+	s.node.StopFollower()
 	sealed, err := s.store.Promote(req.Term)
 	if err != nil {
 		// The follower loop is already stopped and the store may be in

@@ -435,7 +435,8 @@ func TestLoopFencedFollowerDemotesRole(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for !bs.store.Fenced() {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower store never fenced; follower stats: %+v", bs.follower.Stats())
+			fs, _ := bs.node.FollowerStats()
+			t.Fatalf("follower store never fenced; follower stats: %+v", fs)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -192,7 +192,7 @@ func TestMixedChurnRepairsNotRebuilds(t *testing.T) {
 		cfg.Graph = g
 		cfg.WarmIndex = true
 	})
-	warm := s.indexes.stats().rebuilds
+	warm := s.node.IndexStats().FullRebuilds
 
 	rng := rand.New(rand.NewSource(91))
 	store := s.Store()
@@ -234,14 +234,14 @@ func TestMixedChurnRepairsNotRebuilds(t *testing.T) {
 		discover()
 	}
 
-	ixs := s.indexes.stats()
-	if ixs.rebuilds != warm {
-		t.Errorf("full_rebuilds moved under mixed churn: %d, want warmup value %d", ixs.rebuilds, warm)
+	ixs := s.node.IndexStats()
+	if ixs.FullRebuilds != warm {
+		t.Errorf("full_rebuilds moved under mixed churn: %d, want warmup value %d", ixs.FullRebuilds, warm)
 	}
-	if ixs.repairs == 0 || ixs.repairsDecremental == 0 {
+	if ixs.IncrementalRepairs == 0 || ixs.RepairsDecremental == 0 {
 		t.Errorf("repairs did not absorb the stream: %+v", ixs)
 	}
-	if ixs.pending {
+	if ixs.PendingRebuild {
 		t.Error("async rebuild pending under mixed churn")
 	}
 }
@@ -274,7 +274,7 @@ func TestExtremeRetirementChurnRepairsNotRebuilds(t *testing.T) {
 		cfg.Graph = g
 		cfg.WarmIndex = true
 	})
-	warm := s.indexes.stats().rebuilds
+	warm := s.node.IndexStats().FullRebuilds
 	store := s.Store()
 	discover := func() {
 		status, data := postJSON(t, ts.URL+"/v1/discover", `{"skills": ["k0", "k1", "k2"], "method": "sa-ca-cc"}`)
@@ -330,14 +330,14 @@ func TestExtremeRetirementChurnRepairsNotRebuilds(t *testing.T) {
 		discover()
 	}
 
-	ixs := s.indexes.stats()
-	if ixs.rebuilds != warm {
-		t.Errorf("full_rebuilds moved under extreme-retirement churn: %d, want warmup value %d", ixs.rebuilds, warm)
+	ixs := s.node.IndexStats()
+	if ixs.FullRebuilds != warm {
+		t.Errorf("full_rebuilds moved under extreme-retirement churn: %d, want warmup value %d", ixs.FullRebuilds, warm)
 	}
-	if ixs.repairsDecremental == 0 {
+	if ixs.RepairsDecremental == 0 {
 		t.Errorf("decremental repairs did not absorb the stream: %+v", ixs)
 	}
-	if ixs.pending {
+	if ixs.PendingRebuild {
 		t.Error("async rebuild pending under extreme-retirement churn")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"authteam/internal/core"
 	"authteam/internal/expertgraph"
 	"authteam/internal/live"
+	"authteam/internal/node"
 	"authteam/internal/obs"
 	"authteam/internal/oracle"
 	"authteam/internal/repl"
@@ -203,9 +204,9 @@ type query struct {
 	seed       int64
 }
 
-// normalize validates req against the view's graph and the server
-// defaults.
-func (s *Server) normalize(v view, req *DiscoverRequest) (*query, *httpError) {
+// normalize validates req against the request's graph view and the
+// server defaults.
+func (s *Server) normalize(g expertgraph.GraphView, req *DiscoverRequest) (*query, *httpError) {
 	if len(req.Skills) == 0 {
 		return nil, errf(http.StatusBadRequest, "missing skills")
 	}
@@ -222,7 +223,7 @@ func (s *Server) normalize(v view, req *DiscoverRequest) (*query, *httpError) {
 		if name == "" {
 			return nil, errf(http.StatusBadRequest, "empty skill name")
 		}
-		id, ok := v.g.SkillID(name)
+		id, ok := g.SkillID(name)
 		if !ok {
 			return nil, errf(http.StatusBadRequest, "unknown skill %q", name)
 		}
@@ -233,7 +234,7 @@ func (s *Server) normalize(v view, req *DiscoverRequest) (*query, *httpError) {
 	}
 	sort.Slice(q.project, func(i, j int) bool { return q.project[i] < q.project[j] })
 	for _, id := range q.project {
-		q.names = append(q.names, v.g.SkillName(id))
+		q.names = append(q.names, g.SkillName(id))
 	}
 
 	q.methodName = req.Method
@@ -319,9 +320,12 @@ func (s *Server) discoverOne(ctx context.Context, req *DiscoverRequest, scanWork
 		tr = obs.NewTrace()
 	}
 	// Resolve the epoch once; the whole request — skill resolution,
-	// cache key, search, scoring — runs against this one snapshot.
-	v := s.view()
-	q, herr := s.normalize(v, req)
+	// cache key, search, scoring, serialization — runs against this one
+	// snapshot and its zero-copy overlay view (O(|delta|) to build once
+	// per epoch, shared by every request on it), never "the latest"
+	// state and never a materialized graph copy.
+	snap := s.store.Snapshot()
+	q, herr := s.normalize(snap.View(), req)
 	if herr != nil {
 		s.metrics.record(methodLabel(req.Method), 0, true, nil)
 		return nil, nil, herr
@@ -332,7 +336,7 @@ func (s *Server) discoverOne(ctx context.Context, req *DiscoverRequest, scanWork
 	// thereby orphans every cached result of the old epoch, so a
 	// discover answer is never served from a dead epoch (the orphans
 	// age out of the LRU).
-	key := fmt.Sprintf("e%d|%s", v.epoch(), q.cacheKey())
+	key := fmt.Sprintf("e%d|%s", snap.Epoch(), q.cacheKey())
 	// Singleflight: concurrent identical cache misses elect one leader
 	// whose worker computes and fills the cache; the rest wait on the
 	// leader's latch (bounded by their context and the request
@@ -351,7 +355,7 @@ func (s *Server) discoverOne(ctx context.Context, req *DiscoverRequest, scanWork
 			resp.Gamma, resp.Lambda, resp.K = q.gamma, q.lambda, q.k
 			tr.Lap("cache")
 			s.metrics.record(q.methodName, time.Since(start), false, tr)
-			s.logSlow(q, time.Since(start), true, v.epoch(), tr)
+			s.logSlow(q, time.Since(start), true, snap.Epoch(), tr)
 			return &resp, tr, nil
 		}
 		s.flightMu.Lock()
@@ -385,13 +389,13 @@ func (s *Server) discoverOne(ctx context.Context, req *DiscoverRequest, scanWork
 			close(latch)
 		}
 	}
-	resp, herr := s.computeWithTimeout(ctx, v, q, key, scanWorkers, release, tr)
+	resp, herr := s.computeWithTimeout(ctx, snap, q, key, scanWorkers, release, tr)
 	if herr != nil {
 		s.metrics.record(q.methodName, time.Since(start), true, nil)
 		return nil, nil, herr
 	}
 	s.metrics.record(q.methodName, time.Since(start), false, tr)
-	s.logSlow(q, time.Since(start), false, v.epoch(), tr)
+	s.logSlow(q, time.Since(start), false, snap.Epoch(), tr)
 	return resp, tr, nil
 }
 
@@ -425,7 +429,7 @@ func (s *Server) logSlow(q *query, elapsed time.Duration, cached bool, epoch uin
 // recomputing forever. The worker finalizes the response (ElapsedMS,
 // cache fill) before publishing it; afterwards the response is
 // immutable.
-func (s *Server) computeWithTimeout(ctx context.Context, v view, q *query, key string, scanWorkers int, release func(), tr *obs.Trace) (*DiscoverResponse, *httpError) {
+func (s *Server) computeWithTimeout(ctx context.Context, snap *live.Snapshot, q *query, key string, scanWorkers int, release func(), tr *obs.Trace) (*DiscoverResponse, *httpError) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	type outcome struct {
@@ -436,10 +440,10 @@ func (s *Server) computeWithTimeout(ctx context.Context, v view, q *query, key s
 	go func() {
 		defer release() // after the cache fill, so waiters re-read a hit
 		start := time.Now()
-		resp, herr := s.compute(v, q, scanWorkers, tr)
+		resp, herr := s.compute(snap, q, scanWorkers, tr)
 		if herr == nil {
 			resp.ElapsedMS = msSince(start)
-			s.cache.Put(key, v.epoch(), resp)
+			s.cache.Put(key, snap.Epoch(), resp)
 		}
 		ch <- outcome{resp, herr}
 	}()
@@ -452,10 +456,11 @@ func (s *Server) computeWithTimeout(ctx context.Context, v view, q *query, key s
 	}
 }
 
-// compute runs the selected discovery method against the view's graph
-// and indexes, lapping tr at each pipeline stage.
-func (s *Server) compute(v view, q *query, scanWorkers int, tr *obs.Trace) (*DiscoverResponse, *httpError) {
-	p, err := s.paramsFor(v, q.gamma, q.lambda)
+// compute runs the selected discovery method against the snapshot's
+// graph view and indexes, lapping tr at each pipeline stage.
+func (s *Server) compute(snap *live.Snapshot, q *query, scanWorkers int, tr *obs.Trace) (*DiscoverResponse, *httpError) {
+	g := snap.View()
+	p, err := s.node.Params(snap, q.gamma, q.lambda)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
@@ -466,7 +471,7 @@ func (s *Server) compute(v view, q *query, scanWorkers int, tr *obs.Trace) (*Dis
 		Gamma:  q.gamma,
 		Lambda: q.lambda,
 		K:      q.k,
-		Epoch:  v.epoch(),
+		Epoch:  snap.Epoch(),
 	}
 	switch q.methodName {
 	case "random":
@@ -475,7 +480,7 @@ func (s *Server) compute(v view, q *query, scanWorkers int, tr *obs.Trace) (*Dis
 			return nil, discoveryError(err)
 		}
 		tr.Lap("search")
-		resp.Teams = []TeamResult{s.teamResult(v.g, tm, p)}
+		resp.Teams = []TeamResult{s.teamResult(g, tm, p)}
 		tr.Lap("score")
 	case "exact":
 		tm, err := core.Exact(p, q.project, core.ExactOptions{})
@@ -483,17 +488,17 @@ func (s *Server) compute(v view, q *query, scanWorkers int, tr *obs.Trace) (*Dis
 			return nil, discoveryError(err)
 		}
 		tr.Lap("search")
-		resp.Teams = []TeamResult{s.teamResult(v.g, tm, p)}
+		resp.Teams = []TeamResult{s.teamResult(g, tm, p)}
 		tr.Lap("score")
 	case "pareto":
-		front, err := core.ParetoFront(v.g, q.project, core.ParetoOptions{
+		front, err := core.ParetoFront(g, q.project, core.ParetoOptions{
 			// Route the sweep's per-γ indexes through the server's
 			// resident set so repeated pareto queries amortize the
 			// builds like every other method. A nil oracle (index not
 			// yet current at this epoch) falls back to per-root
 			// Dijkstra inside the sweep.
 			IndexFor: func(p *transform.Params, m core.Method) oracle.Oracle {
-				return s.indexes.forMethod(v, p, m)
+				return s.node.Index(snap, p, m)
 			},
 		})
 		if err != nil {
@@ -501,14 +506,14 @@ func (s *Server) compute(v view, q *query, scanWorkers int, tr *obs.Trace) (*Dis
 		}
 		tr.Lap("search")
 		for _, f := range front {
-			fp, err := s.paramsFor(v, f.Gamma, f.Lambda)
+			fp, err := s.node.Params(snap, f.Gamma, f.Lambda)
 			if err != nil {
 				return nil, errf(http.StatusInternalServerError, "%v", err)
 			}
 			resp.Pareto = append(resp.Pareto, ParetoResult{
 				CC: f.CC, CA: f.CA, SA: f.SA,
 				Gamma: f.Gamma, Lambda: f.Lambda,
-				Team: s.teamResult(v.g, f.Team, fp),
+				Team: s.teamResult(g, f.Team, fp),
 			})
 		}
 		tr.Lap("score")
@@ -516,14 +521,14 @@ func (s *Server) compute(v view, q *query, scanWorkers int, tr *obs.Trace) (*Dis
 		// A nil oracle means no index is current at this epoch (a
 		// rebuild is in flight); TopKParallel then runs exact per-root
 		// Dijkstra — slower, but never a dead epoch's distances.
-		dist := s.indexes.forMethod(v, p, q.method)
+		dist := s.node.Index(snap, p, q.method)
 		tr.Lap("index")
 		teams, err := core.TopKParallelStaged(p, q.method, q.project, q.k, scanWorkers, dist, tr.Lap)
 		if err != nil {
 			return nil, discoveryError(err)
 		}
 		for _, tm := range teams {
-			resp.Teams = append(resp.Teams, s.teamResult(v.g, tm, p))
+			resp.Teams = append(resp.Teams, s.teamResult(g, tm, p))
 		}
 		tr.Lap("score")
 	}
@@ -683,12 +688,12 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	v := s.view()
-	resp := HealthResponse{Status: "ok", Epoch: v.epoch()}
+	snap := s.store.Snapshot()
+	resp := HealthResponse{Status: "ok", Epoch: snap.Epoch()}
 	resp.UptimeSeconds = time.Since(s.metrics.start).Seconds()
-	resp.Graph.Nodes = v.g.NumNodes()
-	resp.Graph.Edges = v.g.NumEdges()
-	resp.Graph.Skills = v.g.NumSkills()
+	resp.Graph.Nodes = snap.NumNodes()
+	resp.Graph.Edges = snap.NumEdges()
+	resp.Graph.Skills = snap.View().NumSkills()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -704,20 +709,8 @@ type LiveStats struct {
 	Edges          int    `json:"edges"`
 	JournalRecords uint64 `json:"journal_records"`
 	JournalBytes   int64  `json:"journal_bytes"`
-	PendingRebuild bool   `json:"pending_rebuild"`
 	live.Counters
-	IncrementalRepairs uint64 `json:"incremental_repairs"`
-	// Repair-kind breakdown: inserts, decremental (edge/node removals)
-	// and re-weights (edge weight or authority changes) absorbed
-	// without a rebuild. Under mixed churn these climb while
-	// FullRebuilds stays flat — the fully dynamic 2-hop cover at work.
-	RepairsInsert      uint64 `json:"repairs_insert"`
-	RepairsDecremental uint64 `json:"repairs_decremental"`
-	RepairsReweight    uint64 `json:"repairs_reweight"`
-	// RepairVisitTrips counts repairs abandoned for exceeding the
-	// per-operation visit budget (each fell back to an async rebuild).
-	RepairVisitTrips uint64 `json:"repair_visit_trips"`
-	FullRebuilds     uint64 `json:"full_rebuilds"`
+	node.IndexStats
 	// Materializations counts full-graph materializations; the overlay
 	// read path keeps it at zero while serving discovers (index
 	// rebuilds and compactions are the intended exceptions).
@@ -764,12 +757,8 @@ type StatsResponse struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Snapshot()
 	records, bytes := s.store.JournalStats()
-	ixs := s.indexes.stats()
 	cache := s.cache.Stats()
-	var compactor live.CompactorStats
-	if s.compactor != nil {
-		compactor = s.compactor.Stats()
-	}
+	compactor := s.node.CompactorStats()
 	// Epoch, base epoch and log length all come from the one snapshot
 	// resolved above, so the payload is internally consistent even when
 	// a fold re-bases the store mid-handler (epoch ≥ rebase_epoch and
@@ -780,30 +769,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache:               cache,
 		CacheEvictionsEpoch: cache.EpochEvictions,
 		Live: LiveStats{
-			Epoch:              snap.Epoch(),
-			BaseEpoch:          baseEpoch,
-			Nodes:              snap.NumNodes(),
-			Edges:              snap.NumEdges(),
-			JournalRecords:     records,
-			JournalBytes:       bytes,
-			PendingRebuild:     ixs.pending,
-			Counters:           s.store.Counters(),
-			IncrementalRepairs: ixs.repairs,
-			RepairsInsert:      ixs.repairsInsert,
-			RepairsDecremental: ixs.repairsDecremental,
-			RepairsReweight:    ixs.repairsReweight,
-			RepairVisitTrips:   ixs.visitTrips,
-			FullRebuilds:       ixs.rebuilds,
-			Materializations:   s.store.Materializations(),
-			Commits:            s.store.Commits(),
-			OverlayChainDepth:  s.store.ChainDepth(),
-			OverlayRefolds:     s.store.Refolds(),
-			Compactions:        s.store.Compactions(),
-			BaseAdoptions:      s.store.BaseAdoptions(),
-			RebaseEpoch:        baseEpoch,
-			LogLen:             int(snap.Epoch() - baseEpoch),
-			Compactor:          compactor,
-			CompactorRuns:      compactor.Runs,
+			Epoch:             snap.Epoch(),
+			BaseEpoch:         baseEpoch,
+			Nodes:             snap.NumNodes(),
+			Edges:             snap.NumEdges(),
+			JournalRecords:    records,
+			JournalBytes:      bytes,
+			Counters:          s.store.Counters(),
+			IndexStats:        s.node.IndexStats(),
+			Materializations:  s.store.Materializations(),
+			Commits:           s.store.Commits(),
+			OverlayChainDepth: s.store.ChainDepth(),
+			OverlayRefolds:    s.store.Refolds(),
+			Compactions:       s.store.Compactions(),
+			BaseAdoptions:     s.store.BaseAdoptions(),
+			RebaseEpoch:       baseEpoch,
+			LogLen:            int(snap.Epoch() - baseEpoch),
+			Compactor:         compactor,
+			CompactorRuns:     compactor.Runs,
 		},
 		Replication: s.replicationStats(),
 	})

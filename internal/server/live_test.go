@@ -188,8 +188,8 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 // immediately answered from the repaired index.
 func TestIncrementalRepairServesNewEpoch(t *testing.T) {
 	s, ts := newTestServer(t, func(cfg *Config) { cfg.WarmIndex = true })
-	if ixs := s.indexes.stats(); ixs.rebuilds != 1 {
-		t.Fatalf("warm build count %d", ixs.rebuilds)
+	if ixs := s.node.IndexStats(); ixs.FullRebuilds != 1 {
+		t.Fatalf("warm build count %d", ixs.FullRebuilds)
 	}
 
 	// alice—carol at weight 0.35 stays inside the base weight bounds
@@ -204,9 +204,9 @@ func TestIncrementalRepairServesNewEpoch(t *testing.T) {
 	if out.Epoch != 1 {
 		t.Fatalf("epoch %d", out.Epoch)
 	}
-	ixs := s.indexes.stats()
-	if ixs.pending || ixs.repairs != 1 || ixs.rebuilds != 1 {
-		t.Errorf("maintenance counters: pending=%v repairs=%d rebuilds=%d", ixs.pending, ixs.repairs, ixs.rebuilds)
+	ixs := s.node.IndexStats()
+	if ixs.PendingRebuild || ixs.IncrementalRepairs != 1 || ixs.FullRebuilds != 1 {
+		t.Errorf("maintenance counters: pending=%v repairs=%d rebuilds=%d", ixs.PendingRebuild, ixs.IncrementalRepairs, ixs.FullRebuilds)
 	}
 
 	// An authority update is not incrementally repairable for the γ
@@ -396,8 +396,8 @@ func TestStatsLiveSection(t *testing.T) {
 // TestPersistedIndexRepairedAcrossRestart is the regression test for a
 // subtle staleness hazard: an index persisted at epoch E must not be
 // adopted verbatim by a restarted daemon whose journal replays past E.
-// The epoch sidecar anchors the file and the load path repairs it
-// across the journal delta (or discards it).
+// The epoch in the file's header line anchors it and the load path
+// repairs it across the journal delta (or discards it).
 func TestPersistedIndexRepairedAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	graphPath := filepath.Join(dir, "graph.bin")
@@ -429,8 +429,8 @@ func TestPersistedIndexRepairedAcrossRestart(t *testing.T) {
 	if got := s2.Store().Epoch(); got != 1 {
 		t.Fatalf("replayed epoch %d", got)
 	}
-	if ixs := s2.indexes.stats(); ixs.repairs != 1 {
-		t.Fatalf("expected the loaded index to be repaired, repairs=%d", ixs.repairs)
+	if ixs := s2.node.IndexStats(); ixs.IncrementalRepairs != 1 {
+		t.Fatalf("expected the loaded index to be repaired, repairs=%d", ixs.IncrementalRepairs)
 	}
 
 	// The repaired index must agree with a from-scratch server on the
@@ -502,8 +502,8 @@ func TestDiscoverZeroMaterializations(t *testing.T) {
 	if stats.Live.Materializations != 0 {
 		t.Fatalf("stats report %d materializations", stats.Live.Materializations)
 	}
-	if ixs := s.indexes.stats(); ixs.pending || ixs.repairs == 0 {
-		t.Fatalf("expected incremental repairs to carry the index (pending=%v repairs=%d)", ixs.pending, ixs.repairs)
+	if ixs := s.node.IndexStats(); ixs.PendingRebuild || ixs.IncrementalRepairs == 0 {
+		t.Fatalf("expected incremental repairs to carry the index (pending=%v repairs=%d)", ixs.PendingRebuild, ixs.IncrementalRepairs)
 	}
 }
 
@@ -599,7 +599,7 @@ func TestBackgroundCompactorServing(t *testing.T) {
 	// Incremental repair — not full rebuilds — carried the index
 	// through the re-bases (anchors stayed within the one-generation
 	// MutationsSince window the re-base retains).
-	if ixs := s.indexes.stats(); ixs.repairs == 0 {
+	if ixs := s.node.IndexStats(); ixs.IncrementalRepairs == 0 {
 		t.Error("no incremental repairs across fold boundaries")
 	}
 }

@@ -28,7 +28,7 @@ func TestConcurrentQueriesDuringParallelRebuild(t *testing.T) {
 		cfg.Workers = 4
 		cfg.WarmIndex = true
 	})
-	warm := s.indexes.stats().rebuilds
+	warm := s.node.IndexStats().FullRebuilds
 
 	// A query the corpus can always answer: the first two skills of
 	// node 0 (it holds them, so every epoch has holders).
@@ -92,14 +92,14 @@ func TestConcurrentQueriesDuringParallelRebuild(t *testing.T) {
 
 	// Drain in-flight rebuilds, then confirm the soak exercised them.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.indexes.stats().pending && time.Now().Before(deadline) {
+	for s.node.IndexStats().PendingRebuild && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	ixs := s.indexes.stats()
-	if ixs.pending {
+	ixs := s.node.IndexStats()
+	if ixs.PendingRebuild {
 		t.Fatal("async rebuild still pending after drain deadline")
 	}
-	if ixs.rebuilds == warm {
+	if ixs.FullRebuilds == warm {
 		t.Errorf("no rebuilds triggered (still %d); the soak exercised nothing", warm)
 	}
 }

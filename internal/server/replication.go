@@ -265,7 +265,7 @@ func (s *Server) replicationStats() ReplicationStats {
 	}
 	if role == roleFollower {
 		rs.Leader = s.currentLeaderURL()
-		fs := s.follower.Stats()
+		fs, _ := s.node.FollowerStats()
 		rs.Follower = &fs
 	}
 	return rs

@@ -52,9 +52,8 @@ import (
 
 	"authteam/internal/expertgraph"
 	"authteam/internal/live"
+	"authteam/internal/node"
 	"authteam/internal/obs"
-	"authteam/internal/repl"
-	"authteam/internal/transform"
 )
 
 // Config parameterizes a Server. The zero value is usable given a
@@ -97,12 +96,6 @@ type Config struct {
 	// across by incremental repair before a full rebuild is preferred
 	// (default 512; negative disables incremental repair).
 	RepairBudget int
-	// RepairVisitBudget caps the label-visit work of one incremental
-	// repair operation: a repair touching more labels than this falls
-	// back to an async rebuild, bounding the latency a pathological
-	// delta (hub removal) injects into the request path. 0 disables
-	// the cap.
-	RepairVisitBudget int
 	// CommitBatch caps how many queued mutations the store's group
 	// committer covers with one journal write + epoch publish
 	// (live.Config.CommitBatch); ≤ 0 keeps the default (256).
@@ -202,18 +195,15 @@ func (c Config) withDefaults() Config {
 // Server answers team discovery requests over one expert network. It
 // is safe for concurrent use; create with New.
 type Server struct {
-	cfg     Config
+	cfg Config
+	// node owns the store, its compactor and follower, the fit memo and
+	// the 2-hop covers; store is its store. A follower's replication
+	// loop survives promotion as a stopped loop; role, not the node,
+	// decides how requests are served.
+	node    *node.Node
 	store   *live.Store
-	indexes *indexSet
 	cache   *lruCache
 	metrics *metrics
-	// compactor is the background journal-fold loop (nil unless
-	// Config.CompactInterval and JournalPath are set).
-	compactor *live.Compactor
-	// follower is the replication apply loop (nil unless
-	// Config.FollowURL is set). It survives promotion as a stopped
-	// loop; role, not this pointer, decides how requests are served.
-	follower *live.Follower
 	// role is the cluster-role state machine (cluster.go); leaderURL is
 	// the follower's current upstream ("" once promoted). promoteMu
 	// serializes the promote/demote transitions.
@@ -244,34 +234,11 @@ type Server struct {
 	// a latency storm.
 	slowLogNS atomic.Int64
 
-	// params memoizes transform fits per (γ, λ, epoch). Fitting is
-	// O(n), so the map is simply cleared if a parameter sweep (or a
-	// long mutation stream) overgrows it.
-	pmu    sync.Mutex
-	params map[paramsKey]*transform.Params
-
 	// flights holds one latch per cache key being computed, so
 	// concurrent identical requests run the discovery once.
 	flightMu sync.Mutex
 	flights  map[string]chan struct{}
 }
-
-type paramsKey struct {
-	gamma, lambda float64
-	epoch         uint64
-}
-
-// view is one request's consistent slice of the world: an epoch
-// snapshot and its zero-copy graph view (base CSR + delta overlay).
-// Everything the request touches — skill resolution, search, scoring,
-// serialization — reads this view, never "the latest" state and never
-// a materialized graph copy.
-type view struct {
-	snap *live.Snapshot
-	g    expertgraph.GraphView
-}
-
-func (v view) epoch() uint64 { return v.snap.Epoch() }
 
 // New loads (or adopts) the graph, replays the journal if configured,
 // and prepares the serving state. With cfg.WarmIndex it also builds
@@ -279,6 +246,16 @@ func (v view) epoch() uint64 { return v.snap.Epoch() }
 // preprocessing latency.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	gamma, lambda := 0.6, 0.6
+	if cfg.Gamma != nil {
+		gamma = *cfg.Gamma
+	}
+	if cfg.Lambda != nil {
+		lambda = *cfg.Lambda
+	}
+	if gamma < 0 || gamma > 1 || lambda < 0 || lambda > 1 {
+		return nil, fmt.Errorf("server: default γ=%v λ=%v out of [0,1]", gamma, lambda)
+	}
 	g := cfg.Graph
 	if g == nil {
 		switch {
@@ -298,12 +275,6 @@ func New(cfg Config) (*Server, error) {
 		default:
 			return nil, fmt.Errorf("server: config needs Graph, GraphPath or FollowURL")
 		}
-		if g == nil {
-			var err error
-			if g, err = expertgraph.NewBuilder(0, 0).Build(); err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-		}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -312,35 +283,53 @@ func New(cfg Config) (*Server, error) {
 	// The optional instruments (store, indexes, replication, routes,
 	// tracing) register only when observing; the request counters that
 	// back /stats always do.
-	var storeReg, deepReg *obs.Registry
+	var nodeReg *obs.Registry
 	if !cfg.NoObserve {
-		storeReg, deepReg = reg, reg
+		nodeReg = reg
 	}
-	store, err := live.Open(g, live.Config{
+	indexPath := cfg.GraphPath
+	if cfg.NoPersistIndex {
+		indexPath = ""
+	}
+	n, err := node.Open(node.Config{
+		Graph:            g,
 		JournalPath:      cfg.JournalPath,
-		Sync:             cfg.JournalSync,
+		JournalSync:      cfg.JournalSync,
 		CompactThreshold: cfg.CompactThreshold,
 		CommitBatch:      cfg.CommitBatch,
-		Metrics:          storeReg,
+		CompactInterval:  cfg.CompactInterval,
+		CompactBytes:     cfg.CompactBytes,
+		OnFold: func(st live.CompactStats, took time.Duration, err error) {
+			if err != nil {
+				slog.Error("server: background compaction failed", "err", err)
+				return
+			}
+			slog.Info("server: compacted journal",
+				"epoch", st.Epoch,
+				"fold_ms", float64(took)/float64(time.Millisecond),
+				"folded", st.Folded,
+				"in_flight", st.Remaining)
+		},
+		FollowURL:    cfg.FollowURL,
+		FollowPoll:   cfg.FollowPoll,
+		RepairBudget: cfg.RepairBudget,
+		Workers:      cfg.Workers,
+		IndexPath:    indexPath,
+		Metrics:      nodeReg,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	base := cfg.GraphPath
-	if cfg.NoPersistIndex {
-		base = ""
-	}
 	s := &Server{
 		cfg:     cfg,
-		store:   store,
-		indexes: newIndexSet(base, store, cfg.RepairBudget, cfg.RepairVisitBudget, cfg.Workers, deepReg),
+		node:    n,
+		store:   n.Store(),
 		cache:   newLRU(cfg.CacheSize),
 		metrics: newMetrics(reg),
 		obs:     reg,
 		observe: !cfg.NoObserve,
-		gamma:   0.6,
-		lambda:  0.6,
-		params:  make(map[paramsKey]*transform.Params),
+		gamma:   gamma,
+		lambda:  lambda,
 		flights: make(map[string]chan struct{}),
 	}
 	// Boot-time role: FollowURL makes a follower, otherwise a leader —
@@ -352,7 +341,7 @@ func New(cfg Config) (*Server, error) {
 	// it serves.
 	s.leaderURL.Store(cfg.FollowURL)
 	switch {
-	case store.Fenced():
+	case s.store.Fenced():
 		s.role.Store(roleDemoted)
 	case cfg.FollowURL != "":
 		s.role.Store(roleFollower)
@@ -375,8 +364,6 @@ func New(cfg Config) (*Server, error) {
 		reg.CounterFunc("authteam_cluster_fenced_total",
 			"Requests refused (or leaderships lost) because a peer proved a newer term.",
 			func() float64 { return float64(s.fencedRequests.Load()) })
-	}
-	if s.observe {
 		s.httpReqs = reg.CounterVec("authteam_http_requests_total",
 			"HTTP requests by route and status code.", "route", "code")
 		s.httpHist = reg.HistogramVec("authteam_http_request_seconds",
@@ -394,91 +381,19 @@ func New(cfg Config) (*Server, error) {
 			"Replication base snapshots served (leader side).",
 			func() float64 { return float64(s.baseRequests.Load()) })
 	}
-	if cfg.Gamma != nil {
-		s.gamma = *cfg.Gamma
-	}
-	if cfg.Lambda != nil {
-		s.lambda = *cfg.Lambda
-	}
-	if s.gamma < 0 || s.gamma > 1 || s.lambda < 0 || s.lambda > 1 {
-		return nil, fmt.Errorf("server: default γ=%v λ=%v out of [0,1]", s.gamma, s.lambda)
-	}
 	// A follower warms its index once replication has caught up, not
 	// against the (possibly empty) bootstrap state.
 	if cfg.WarmIndex && cfg.FollowURL == "" {
-		v := s.view()
-		p, err := s.paramsFor(v, s.gamma, s.lambda)
+		snap := s.store.Snapshot()
+		p, err := s.node.Params(snap, s.gamma, s.lambda)
 		if err != nil {
+			n.Close()
 			return nil, err
 		}
-		s.indexes.forMethod(v, p, defaultMethod)
-	}
-	if cfg.CompactInterval > 0 && cfg.JournalPath == "" {
-		return nil, fmt.Errorf("server: CompactInterval requires JournalPath (nothing to fold without a journal)")
-	}
-	if cfg.JournalPath != "" && cfg.CompactInterval > 0 {
-		s.compactor, err = store.StartCompactor(live.CompactorConfig{
-			Interval:   cfg.CompactInterval,
-			MinRecords: uint64(max(cfg.CompactThreshold, 0)),
-			MaxBytes:   cfg.CompactBytes,
-			OnFold: func(st live.CompactStats, took time.Duration, err error) {
-				if err != nil {
-					slog.Error("server: background compaction failed", "err", err)
-					return
-				}
-				slog.Info("server: compacted journal",
-					"epoch", st.Epoch,
-					"fold_ms", float64(took)/float64(time.Millisecond),
-					"folded", st.Folded,
-					"in_flight", st.Remaining)
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-	}
-	if cfg.FollowURL != "" {
-		// The source claims this store's term on every tail, so a
-		// superseded upstream fences us (and we stop, demoted) instead
-		// of feeding us a stale lineage.
-		src := repl.NewHTTPSource(cfg.FollowURL, nil).WithTerm(store.Term).Instrument(storeReg)
-		s.follower = live.StartFollower(store, src, live.FollowerConfig{
-			PollTimeout: cfg.FollowPoll,
-		})
-		if s.observe {
-			// Lag in epochs and in seconds: the pair a balancer needs —
-			// epochs say how much history is missing, seconds keep
-			// growing when the leader is unreachable and no epoch delta
-			// is observable.
-			reg.GaugeFunc("authteam_replication_lag_epochs",
-				"Follower epoch lag behind the leader (0 when caught up).",
-				func() float64 { return float64(s.follower.Stats().Lag) })
-			reg.GaugeFunc("authteam_replication_lag_seconds",
-				"Seconds since the follower last confirmed catch-up (0 while caught up).",
-				func() float64 { return s.follower.Stats().LagSeconds })
-			reg.CounterFunc("authteam_replication_polls_total",
-				"Replication tail round-trips, including idle long-polls.",
-				func() float64 { return float64(s.follower.Stats().Polls) })
-			reg.CounterFunc("authteam_replication_applied_total",
-				"Journal records replayed onto the local store.",
-				func() float64 { return float64(s.follower.Stats().Applied) })
-			reg.CounterFunc("authteam_replication_base_fetches_total",
-				"Full base adoptions (fold-boundary catch-ups).",
-				func() float64 { return float64(s.follower.Stats().BaseFetches) })
-			reg.CounterFunc("authteam_replication_errors_total",
-				"Transient replication source failures.",
-				func() float64 { return float64(s.follower.Stats().Errors) })
-		}
+		s.node.Index(snap, p, defaultMethod)
 	}
 	return s, nil
 }
-
-// Metrics returns the server's obs registry (for embedding: scraping
-// or registering further instruments).
-func (s *Server) Metrics() *obs.Registry { return s.obs }
-
-// Follower reports the replication apply loop, or nil on a leader.
-func (s *Server) Follower() *live.Follower { return s.follower }
 
 // Store exposes the live mutation overlay (for embedding and tests).
 func (s *Server) Store() *live.Store { return s.store }
@@ -493,35 +408,6 @@ func (s *Server) Graph() *expertgraph.Graph {
 		panic(err)
 	}
 	return g
-}
-
-// view resolves the current epoch snapshot and its overlay read view.
-// No graph is materialized: a discover on a freshly mutated epoch
-// costs an O(|delta|) overlay construction (shared by every request on
-// the same snapshot), not a full graph copy.
-func (s *Server) view() view {
-	snap := s.store.Snapshot()
-	return view{snap: snap, g: snap.View()}
-}
-
-// paramsFor returns the memoized transform fit for (γ, λ) at the
-// view's epoch.
-func (s *Server) paramsFor(v view, gamma, lambda float64) (*transform.Params, error) {
-	key := paramsKey{gamma: gamma, lambda: lambda, epoch: v.epoch()}
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	if p, ok := s.params[key]; ok {
-		return p, nil
-	}
-	p, err := transform.Fit(v.g, gamma, lambda, transform.Options{Normalize: true})
-	if err != nil {
-		return nil, err
-	}
-	if len(s.params) >= 256 {
-		clear(s.params)
-	}
-	s.params[key] = p
-	return p, nil
 }
 
 // statusWriter records the response status for the per-route request
@@ -633,7 +519,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	resp := ReadyzResponse{Ready: true, Role: roleName(role), Epoch: s.store.Epoch()}
 	switch role {
 	case roleFollower:
-		st := s.follower.Stats()
+		st, _ := s.node.FollowerStats()
 		resp.LeaderEpoch = st.LeaderEpoch
 		resp.LagEpochs = st.Lag
 		resp.LagSeconds = st.LagSeconds
@@ -664,18 +550,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // Close stops the replication follower and background compactor (if
 // any) and releases the mutation journal. Serving (reads) keeps
-// working; further mutations fail with live.ErrClosed. The follower
-// stops first — its apply loop writes through the store the other two
-// steps shut down.
-func (s *Server) Close() error {
-	if s.follower != nil {
-		s.follower.Stop()
-	}
-	if s.compactor != nil {
-		s.compactor.Stop()
-	}
-	return s.store.Close()
-}
+// working; further mutations fail with live.ErrClosed.
+func (s *Server) Close() error { return s.node.Close() }
 
 // debugHandler builds the mux for the private debug listener
 // (Config.DebugAddr): pprof plus a second copy of the observability

@@ -501,11 +501,14 @@ func encodeCover(t *testing.T, magic string, f any) []byte {
 
 // TestBootRebuildsUnreadableIndex boots with an unreadable cover file
 // next to the graph: a current-format file whose label store was cut
-// in half, a version-2 file, and garbage. Each boot must come up,
-// rebuild the index once (full_rebuilds 1), and serve the same teams
-// as a cold start. The cut label store keeps the file's shape valid,
-// so only label validation keeps it out of the warm-index spot check,
-// whose unchecked decoder would index past the store.
+// in half, a version-2 file, garbage, and a valid cover without its
+// epoch header line — bare, and in the older layout that kept the
+// epoch in a <cover>.epoch sidecar. Each boot must come up, rebuild
+// the index once (full_rebuilds 1), and serve the same teams as a cold
+// start. The cut label store keeps the file's shape valid, so only
+// label validation keeps it out of the warm-index spot check, whose
+// unchecked decoder would index past the store; a cover without a
+// header has no known epoch, so it must never be loaded.
 func TestBootRebuildsUnreadableIndex(t *testing.T) {
 	g := synthGraph(t)
 	path := filepath.Join(t.TempDir(), "graph.bin")
@@ -559,23 +562,39 @@ func TestBootRebuildsUnreadableIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold start persisted no index: %v", err)
 	}
+	// The cover follows its one-line epoch header.
+	header, cover, ok := bytes.Cut(valid, []byte("\n"))
+	if !ok {
+		t.Fatal("persisted cover has no header line")
+	}
+	header = append(header, '\n')
 	var f coverFile
-	if err := gob.NewDecoder(bytes.NewReader(valid[len("PLLIDX03"):])).Decode(&f); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(cover[len("PLLIDX03"):])).Decode(&f); err != nil {
 		t.Fatal(err)
 	}
 	cut := f
 	cut.Data = f.Data[:len(f.Data)/2]
+	withHeader := func(b []byte) []byte { return append(append([]byte(nil), header...), b...) }
 	files := map[string][]byte{
-		"damaged": encodeCover(t, "PLLIDX03", cut),
-		"v2": encodeCover(t, "PLLIDX02", coverFileV2{
+		"damaged": withHeader(encodeCover(t, "PLLIDX03", cut)),
+		"v2": withHeader(encodeCover(t, "PLLIDX02", coverFileV2{
 			N: f.N, Total: f.Total, Off: f.Off, Data: f.Data, RankOf: f.RankOf, NodeAt: f.NodeAt,
-		}),
-		"garbage": []byte("not a 2-hop cover\n"),
+		})),
+		"garbage":   []byte("not a 2-hop cover\n"),
+		"no-header": cover,
+		"sidecar":   cover,
 	}
 	for name, data := range files {
 		t.Run(name, func(t *testing.T) {
 			if err := os.WriteFile(indexPath, data, 0o644); err != nil {
 				t.Fatal(err)
+			}
+			if name == "sidecar" {
+				sidecar := indexPath + ".epoch"
+				if err := os.WriteFile(sidecar, []byte("0\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				defer os.Remove(sidecar)
 			}
 			rebuilds, got := boot(t)
 			if rebuilds != 1 {
