@@ -355,55 +355,34 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	// Weight and authority bounds for the normalizer (Def. 4 requires
-	// normalizing node and edge scales before combining them), with the
-	// extreme multiplicities and second-distinct values the live layer
-	// needs to tell tight bounds from covering ones after a retirement.
-	var wAcc, invAcc extremeAccum
+	// normalizing node and edge scales before combining them).
+	var w, inv minMax
 	for _, e := range b.edges {
-		wAcc.add(e.w)
+		w.add(e.w)
 	}
 	for i, a := range g.inv {
 		if g.Removed(NodeID(i)) {
 			continue // tombstones don't participate in normalization
 		}
-		invAcc.add(a)
+		inv.add(a)
 	}
-	g.wExt, g.invExt = wAcc.s, invAcc.s
-	g.minW, g.maxW = g.wExt.Min, g.wExt.Max
-	g.minInv, g.maxInv = g.invExt.Min, g.invExt.Max
+	g.minW, g.maxW = w.lo, w.hi
+	g.minInv, g.maxInv = inv.lo, inv.hi
 	return g, nil
 }
 
-// extremeAccum streams values into ExtremeStats: tight min/max, their
-// multiplicities, and the second distinct value inward of each.
-type extremeAccum struct {
-	s   ExtremeStats
-	any bool
+// minMax folds values into their tight min and max (0, 0 when none).
+type minMax struct {
+	lo, hi float64
+	any    bool
 }
 
-func (a *extremeAccum) add(v float64) {
-	if !a.any {
-		a.any = true
-		a.s = ExtremeStats{Min: v, MinCount: 1, SecondMin: v, Max: v, MaxCount: 1, SecondMax: v}
-		return
+func (m *minMax) add(v float64) {
+	if !m.any || v < m.lo {
+		m.lo = v
 	}
-	s := &a.s
-	switch {
-	case v < s.Min:
-		s.SecondMin = s.Min
-		s.Min, s.MinCount = v, 1
-	case v == s.Min:
-		s.MinCount++
-	case s.SecondMin == s.Min || v < s.SecondMin:
-		s.SecondMin = v
+	if !m.any || v > m.hi {
+		m.hi = v
 	}
-	switch {
-	case v > s.Max:
-		s.SecondMax = s.Max
-		s.Max, s.MaxCount = v, 1
-	case v == s.Max:
-		s.MaxCount++
-	case s.SecondMax == s.Max || v > s.SecondMax:
-		s.SecondMax = v
-	}
+	m.any = true
 }

@@ -84,31 +84,6 @@ type Graph struct {
 	// rather than invalidating every transformed weight at once.
 	minW, maxW     float64 // edge-weight bounds (0,0 when no edges)
 	minInv, maxInv float64 // inverse-authority bounds (0,0 when empty)
-
-	// Tight extreme statistics over the stored values, computed at build
-	// time and unaffected by WidenBounds: multiplicity of each extreme
-	// and the second distinct value beyond it. The live overlay uses
-	// them to tell a retirement that provably keeps the bounds tight
-	// (another value still holds the extreme) from one that may leave
-	// them covering-but-loose.
-	wExt, invExt ExtremeStats
-}
-
-// ExtremeStats describes the tight extremes of a value population (edge
-// weights or live inverse authorities): the extreme values themselves,
-// how many values hold each, and the second distinct value inward of
-// each extreme (equal to the extreme when the population holds a single
-// distinct value, zero when the population is empty). When a bound goes
-// loose — every holder of the extreme retired — the tight extreme of
-// the survivors lies between Second{Min,Max} and the old extreme, so
-// Second bounds the covering slack.
-type ExtremeStats struct {
-	Min       float64
-	MinCount  int
-	SecondMin float64
-	Max       float64
-	MaxCount  int
-	SecondMax float64
 }
 
 // NumNodes returns the number of experts.
@@ -201,17 +176,8 @@ func (g *Graph) EdgeWeightBounds() (lo, hi float64) { return g.minW, g.maxW }
 // bounds over live experts, or (0, 0) if the graph has no live nodes.
 func (g *Graph) InvAuthorityBounds() (lo, hi float64) { return g.minInv, g.maxInv }
 
-// EdgeWeightExtremes returns the tight extreme statistics of the stored
-// edge weights (zero value when the graph has no edges).
-func (g *Graph) EdgeWeightExtremes() ExtremeStats { return g.wExt }
-
-// InvAuthorityExtremes returns the tight extreme statistics of the live
-// experts' inverse authorities (zero value when there are none).
-func (g *Graph) InvAuthorityExtremes() ExtremeStats { return g.invExt }
-
 // WidenBounds expands the graph's normalization bounds to cover the
-// given intervals, leaving the tight extreme statistics untouched. The
-// live layer calls it after materializing an overlay whose covering
+// given intervals. The live layer calls it after materializing an overlay whose covering
 // bounds have outlived retired extremes, so the packed graph answers
 // the exact same bounds as the overlay it replaces — a graph and its
 // overlay disagreeing on bounds would make every transformed edge

@@ -24,11 +24,11 @@ import (
 // overrides it).
 const defaultCommitBatch = 256
 
-// maxChainDepth is the chained-overlay refold guard: a batch whose
-// parent view already sits at this depth gets a full refold from base
-// instead of another chain link, bounding per-read layer walks and
-// amortizing the O(|delta|) refold over maxChainDepth O(|batch|)
-// chained builds.
+// maxChainDepth is the overlay chain's refold guard: a batch whose
+// parent view already sits at this depth gets a fold of the resident
+// log over the base instead of another layer, bounding per-read layer
+// walks and amortizing the O(|log|) refold over maxChainDepth
+// O(|batch|) extensions.
 const maxChainDepth = 16
 
 // commitBatchBuckets sizes the batch-occupancy histogram: powers of
@@ -267,44 +267,33 @@ func (s *Store) commitBatch(batch []*applyReq) {
 	}
 }
 
-// presetView derives next's overlay view at commit time: chained off
-// prev's memoized view when one exists (O(|batch|)), refolded from
-// base when the chain hit the depth guard, and left lazy when prev's
-// view was never built — a write-only stretch shouldn't pay for views
-// nobody reads. Caller holds mu; next is not yet published.
+// presetView derives next's overlay view at commit time: prev's built
+// view extended by the batch (O(|batch|)); a fold of the resident log
+// over the base when prev sits at the base epoch (a chain root: the
+// batch is the whole log) or prev's view at the depth guard; and left
+// lazy when prev's view was never built — a write-only stretch
+// shouldn't pay for views nobody reads. Caller holds mu; next is not
+// yet published.
 func (s *Store) presetView(prev, next *Snapshot, batch []Mutation) {
-	var start time.Time
-	var view expertgraph.GraphView
-	switch {
-	case prev.epoch == prev.baseEpoch:
-		// Chain root: folding just the batch is already the full
-		// refold, since nothing precedes it in the resident log.
-		if s.overlayHist != nil {
-			start = time.Now()
-		}
-		view = newOverlay(next.base, next.log[:next.epoch-next.baseEpoch], next.nodes, next.edges)
-	case prev.viewReady.Load():
-		parent, ok := prev.view.(chainableView)
-		if !ok {
-			return
-		}
-		depth := 0
-		if cv, isChain := parent.(*chainView); isChain {
-			depth = cv.depth
-		}
-		if s.overlayHist != nil {
-			start = time.Now()
-		}
-		if depth >= maxChainDepth {
-			// Periodic refold guard: reset the chain with a full fold
-			// from base.
-			view = newOverlay(next.base, next.log[:next.epoch-next.baseEpoch], next.nodes, next.edges)
-			s.refolds.Add(1)
-		} else {
-			view = chainOverlay(parent, batch, next.nodes, next.edges, depth+1)
-		}
-	default:
+	root := prev.epoch == prev.baseEpoch
+	if !root && !prev.viewReady.Load() {
 		return
+	}
+	var start time.Time
+	if s.overlayHist != nil {
+		start = time.Now()
+	}
+	var view *OverlayView
+	switch {
+	case root:
+		view = newOverlay(next.base, next.log[:next.epoch-next.baseEpoch], next.nodes, next.edges)
+	case prev.view.depth >= maxChainDepth:
+		// Periodic refold guard: reset the chain with a fold of the
+		// resident log over the base.
+		view = newOverlay(next.base, next.log[:next.epoch-next.baseEpoch], next.nodes, next.edges)
+		s.refolds.Add(1)
+	default:
+		view = prev.view.extend(batch, next.nodes, next.edges)
 	}
 	if s.overlayHist != nil {
 		s.overlayHist.Observe(time.Since(start).Seconds())

@@ -81,12 +81,12 @@ const baseFormatVersion = 1
 // own base+log references and stay valid, and writers are only blocked
 // for the final journal swap + re-base, not for the materialization.
 //
-// A fold is also a chained-overlay boundary: the first snapshot
-// published after the re-base has a different base graph than its
-// predecessor, so its view cannot patch the previous epoch's — it
-// refolds from the new (short) log and later batches chain from that
-// fresh root (see chain.go). That refold is exactly the O(churn)
-// bound above, so folding keeps the chain's reset cost small too.
+// A fold is also an overlay-chain boundary: the snapshot published by
+// the re-base has a different base graph than its predecessor, so it
+// carries no view to extend — its view folds the new (short) log over
+// the new base on first use, and later batches extend that root (see
+// OverlayView). That fold is exactly the O(churn) bound above, so
+// folding keeps the chain's reset cost small too.
 //
 // After the re-base, SnapshotAt refuses epochs below the fold (their
 // graphs can no longer be reconstructed), while MutationsSince keeps
@@ -247,10 +247,10 @@ func (s *Store) swapAndRebase(snap *Snapshot, g *expertgraph.Graph, staged *stag
 	// shrinks to the in-flight suffix (copied into a fresh backing
 	// array so the old one is released once published snapshots die).
 	// The folded generation's log is retained as prevLog so
-	// MutationsSince bridges this one boundary; the generation before it is dropped. The edge
-	// set and node/edge counters describe the current epoch, which the
-	// re-base does not change, so they stay as they are.
-	cur := s.snap.Load()
+	// MutationsSince bridges this one boundary; the generation before
+	// it is dropped. The writer state (edge set, degrees, node/edge
+	// counters) describes the current epoch, which the re-base does not
+	// change, so it stays as it is.
 	newLog := append(make([]Mutation, 0, len(tail)), tail...)
 	if foldIdx > 0 {
 		// A zero-record fold (crash recovery, back-to-back Compact)
@@ -261,23 +261,7 @@ func (s *Store) swapAndRebase(snap *Snapshot, g *expertgraph.Graph, staged *stag
 	s.base = g
 	s.baseEpoch = snap.Epoch()
 	s.log = newLog
-	next := &Snapshot{
-		epoch:         cur.epoch,
-		baseEpoch:     s.baseEpoch,
-		base:          g,
-		log:           newLog,
-		prevBaseEpoch: s.prevBaseEpoch,
-		prevLog:       s.prevLog,
-		adoptions:     cur.adoptions,
-		nodes:         s.nNodes,
-		edges:         s.nEdges,
-		matCtr:        &s.materialized,
-		overlayHist:   s.overlayHist,
-	}
-	if next.epoch == next.baseEpoch {
-		next.g = g // base-epoch snapshot: Graph()/View() answer from the base directly
-	}
-	s.snap.Store(next)
+	s.snap.Store(s.buildSnapshotLocked())
 
 	s.compactions.Add(1)
 	return CompactStats{

@@ -556,9 +556,8 @@ func TestMaintainWeightedExtremeRetirement(t *testing.T) {
 // TestOverlayDecrementalBounds pins the covering contract on the
 // subtractive path: removals that retire the current extreme edge
 // weight (and, via node removal, the extreme authority) leave the
-// bounds in place — still containing every surviving value — while
-// BoundsTight turns false, and the materialized graph widens to answer
-// the identical bounds.
+// bounds in place — still containing every surviving value — and the
+// materialized graph widens to answer the identical bounds.
 func TestOverlayDecrementalBounds(t *testing.T) {
 	b := expertgraph.NewBuilder(4, 4)
 	b.AddNode("low", 1, "a")   // inv 1.0: the max extreme
@@ -603,15 +602,6 @@ func TestOverlayDecrementalBounds(t *testing.T) {
 		if vl != 0.1 || vh != 1.0 {
 			t.Fatalf("inv bounds (%v,%v), want covering (0.1,1.0) — tombstones must not shrink them", vl, vh)
 		}
-	}
-	// Both retired extremes had a single holder, so both bound pairs are
-	// provably no longer tight.
-	wTight, invTight := gv.(interface{ BoundsTight() (bool, bool) }).BoundsTight()
-	if wTight {
-		t.Fatal("edge-weight bounds reported tight after the sole extreme holders retired")
-	}
-	if invTight {
-		t.Fatal("inverse-authority bounds reported tight after the min holder was tombstoned")
 	}
 }
 

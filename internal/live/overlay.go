@@ -6,67 +6,76 @@ import (
 	"authteam/internal/expertgraph"
 )
 
-// OverlayView answers expertgraph.GraphView reads for one epoch
-// straight from the frozen base CSR plus per-node delta patches —
-// the zero-materialization read path of the live store. Building one
-// costs O(|delta|): the base graph's packed arrays are shared, and
-// only the nodes, edges and skills the delta touches get patch
-// entries. Reads on untouched nodes are a map miss away from the raw
-// CSR speed; reads on patched nodes consult small merged slices
-// computed once at construction.
+// OverlayView answers expertgraph.GraphView reads for one epoch as a
+// patch layer over a parent view — the zero-materialization read path
+// of the live store. The parent is one of two things:
+//
+//   - the snapshot's frozen base graph (newOverlay): the layer folds the
+//     whole resident log and sits at depth 0;
+//   - the previous epoch's OverlayView (extend): the layer folds one
+//     committed batch and sits one deeper than its parent, so under a
+//     sustained write stream the per-epoch build cost stays O(|batch|)
+//     however long ago the last fold was.
+//
+// Building a layer costs O(|mutations folded|): the parent is shared,
+// and only the nodes, edges and skills the mutations touch get patch
+// entries. Reads on untouched nodes fall through to the parent; reads
+// on patched nodes consult small merged slices computed once at
+// construction. A read walks at most depth+1 layers, and the committer
+// refolds from the base once a chain reaches maxChainDepth.
 //
 // Decremental mutations patch subtractively: removed or re-weighted
-// base edges are masked by key (re-weights re-appear as delta halves
+// parent edges are masked by key (re-weights re-appear as layer halves
 // at the new weight), and tombstoned nodes answer like their
 // materialized counterparts (no edges, no skills, ValidNode false,
 // excluded from holder lists and normalization bounds).
 //
 // Normalization bounds are *covering*, not tight: they seed from the
-// base graph's bounds and only ever expand as the delta folds in new
+// base graph's bounds and only ever expand as mutations fold in new
 // values — retiring the current min/max edge weight or inverse
 // authority leaves them where they are. A tight bound would have to
 // shrink on such a retirement, and a bounds move re-scales every
 // transformed edge weight of §3.2.2 at once, invalidating the whole
 // 2-hop cover; under the covering contract the retirement is just an
-// ordinary decremental delta the index repairs through. The overlay
-// still tracks, conservatively, whether each bound provably remains
-// tight (another value is known to hold the extreme — see the base
-// graph's ExtremeStats) and reports it via BoundsTight.
+// ordinary decremental delta the index repairs through. An extended
+// layer continues its parent's fold, so every layer's bounds equal a
+// one-pass fold of the resident log over the base.
 //
 // The view is semantically identical to the graph Snapshot.Graph()
 // would materialize: same IDs (nodes, skills), same holder ordering
 // (ExpertsWithSkill stays sorted by NodeID), same covering
 // normalization bounds (materialization widens the packed graph to
-// match). Only the Neighbors visit order differs (base edges first,
-// then delta edges), which GraphView leaves implementation-defined.
+// match). Only the Neighbors visit order differs (parent edges first,
+// then the layer's), which GraphView leaves implementation-defined.
 //
 // OverlayView is immutable after construction and safe for concurrent
-// readers.
+// readers; it reads its parent, which is immutable too.
 type OverlayView struct {
-	base  *expertgraph.Graph
-	nb    int // base node count
-	nbSk  int // base skill count
-	nodes int
-	edges int
+	parent expertgraph.GraphView // the base graph, or the previous epoch's layer
+	depth  int                   // 0 over the base graph, parent's depth + 1 over a layer
+	pn     int                   // parent node count
+	pnSk   int                   // parent skill count
+	nodes  int
+	edges  int
 
-	// Nodes appended by the delta (IDs nb, nb+1, …).
+	// Nodes appended by the layer (IDs pn, pn+1, …).
 	newNames  []string
 	newAuth   []float64
 	newInv    []float64
 	newSkills [][]expertgraph.SkillID
 	newAdj    [][]halfEdge
 
-	// Patches on base nodes. skillPatch holds the *full* merged skill
-	// list (base skills + grants, in grant order) so Skills stays a
+	// Patches on parent nodes. skillPatch holds the *full* merged skill
+	// list (parent skills + grants, in grant order) so Skills stays a
 	// single lookup; a tombstoned node's entry is an empty list.
 	authPatch  map[expertgraph.NodeID]authOverride
 	extraAdj   map[expertgraph.NodeID][]halfEdge
 	skillPatch map[expertgraph.NodeID][]expertgraph.SkillID
 
-	// Subtractive patches: base edges masked out by key (removed, or
-	// re-weighted and re-added as delta halves), the per-endpoint count
-	// of masked base edges (for O(1) Degree), and nodes tombstoned by
-	// the delta.
+	// Subtractive patches: parent edges masked out by key (removed, or
+	// re-weighted and re-added as layer halves), the per-endpoint count
+	// of masked parent edges (for O(1) Degree), and nodes tombstoned by
+	// the layer.
 	removedEdges map[uint64]struct{}
 	removedDeg   map[expertgraph.NodeID]int
 	removedNodes map[expertgraph.NodeID]struct{}
@@ -77,84 +86,42 @@ type OverlayView struct {
 	newSkillIDs   map[string]expertgraph.SkillID
 	holdersPatch  map[expertgraph.SkillID][]expertgraph.NodeID
 
-	minW, maxW     float64
-	minInv, maxInv float64
-
-	// Per-bound tightness tracking (see boundSide).
+	// Covering normalization bounds.
 	wLo, wHi, invLo, invHi boundSide
 }
 
-// boundSide tracks one covering bound: its value, how many live values
-// are known to hold it (the base extreme's multiplicity, plus delta
-// values landing exactly on it), and how many of those holders the
-// delta retired. The bound is provably tight while retirements stay
-// below known holders; the zero count is the conservative "inherited a
-// covering-loose bound" state, which reports not-tight until a delta
-// value lands on the bound.
+// boundSide is one covering bound: the folded extreme, or no value yet
+// (an empty population, whose bound adopts the first folded value).
 type boundSide struct {
-	val   float64
-	have  bool
-	known int
-	gone  int
+	val  float64
+	have bool
 }
 
 // lower folds v toward a minimum bound.
 func (b *boundSide) lower(v float64) {
-	switch {
-	case !b.have:
-		b.val, b.known, b.gone, b.have = v, 1, 0, true
-	case v < b.val:
-		b.val, b.known, b.gone = v, 1, 0
-	case v == b.val:
-		b.known++
+	if !b.have || v < b.val {
+		b.val, b.have = v, true
 	}
 }
 
 // raise folds v toward a maximum bound.
 func (b *boundSide) raise(v float64) {
-	switch {
-	case !b.have:
-		b.val, b.known, b.gone, b.have = v, 1, 0, true
-	case v > b.val:
-		b.val, b.known, b.gone = v, 1, 0
-	case v == b.val:
-		b.known++
+	if !b.have || v > b.val {
+		b.val, b.have = v, true
 	}
 }
 
-// retire records that a value holding the bound left the population.
-func (b *boundSide) retire(v float64) {
-	if b.have && v == b.val {
-		b.gone++
-	}
-}
-
-// tight reports whether the bound provably equals the population's
-// tight extreme.
-func (b *boundSide) tight() bool {
-	return !b.have || b.gone < b.known
-}
-
-// seedBounds initializes a (lo, hi) boundSide pair from a base graph's
-// covering bounds. A bound inherits the base extreme's multiplicity as
-// its known holder count only when it actually sits on the tight
-// extreme; a base bound already covering-loose (widened past a retired
-// extreme by an earlier epoch) seeds with zero holders and stays
-// reported not-tight. An absent population (have false) seeds empty
-// sides that adopt the first folded value.
-func seedBounds(have bool, lo, hi float64, ext expertgraph.ExtremeStats) (loSide, hiSide boundSide) {
+// seedBounds seeds a (lo, hi) bound pair from a base graph's covering
+// bounds. An absent population (have false: no edges, or no live
+// experts) seeds empty sides that adopt the first folded value, even
+// when the graph reports an interval: a compaction that retired the
+// whole population leaves its old covering bounds behind (see
+// WidenBounds), and materializing the next epoch drops them too.
+func seedBounds(have bool, lo, hi float64) (loSide, hiSide boundSide) {
 	if !have {
 		return
 	}
-	loSide = boundSide{val: lo, have: true}
-	if lo == ext.Min {
-		loSide.known = ext.MinCount
-	}
-	hiSide = boundSide{val: hi, have: true}
-	if hi == ext.Max {
-		hiSide.known = ext.MaxCount
-	}
-	return
+	return boundSide{val: lo, have: true}, boundSide{val: hi, have: true}
 }
 
 type halfEdge struct {
@@ -166,24 +133,47 @@ type authOverride struct {
 	auth, inv float64
 }
 
-// newOverlay folds the delta into patch structures over base. muts
-// must be the validated mutation log of the target epoch (the store
-// guarantees referenced nodes exist and are live, edges are unique,
-// authorities are floored at 1, remove_node records carry their
+// newOverlay folds the resident log over the base graph: a depth-0
+// layer. muts must be the validated mutation log of the target epoch
+// (the store guarantees referenced nodes exist and are live, edges are
+// unique, authorities are floored at 1, remove_node records carry their
 // incident edges).
 func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *OverlayView {
 	o := &OverlayView{
-		base:  base,
-		nb:    base.NumNodes(),
-		nbSk:  base.NumSkills(),
-		nodes: nodes,
-		edges: edges,
+		parent: base,
+		pn:     base.NumNodes(),
+		pnSk:   base.NumSkills(),
+		nodes:  nodes,
+		edges:  edges,
 	}
 	wlo, whi := base.EdgeWeightBounds()
 	ilo, ihi := base.InvAuthorityBounds()
-	o.wLo, o.wHi = seedBounds(base.NumEdges() > 0, wlo, whi, base.EdgeWeightExtremes())
-	o.invLo, o.invHi = seedBounds(o.nb > base.NumRemoved(), ilo, ihi, base.InvAuthorityExtremes())
+	o.wLo, o.wHi = seedBounds(base.NumEdges() > 0, wlo, whi)
+	o.invLo, o.invHi = seedBounds(o.pn > base.NumRemoved(), ilo, ihi)
+	o.fold(muts)
+	return o
+}
 
+// extend folds one committed batch over o: the next epoch's layer, one
+// deeper than o, its bounds continuing o's fold. batch carries the same
+// guarantees as newOverlay's log; nodes and edges are the counts at the
+// new epoch.
+func (o *OverlayView) extend(batch []Mutation, nodes, edges int) *OverlayView {
+	c := &OverlayView{
+		parent: o,
+		depth:  o.depth + 1,
+		pn:     o.nodes,
+		pnSk:   o.NumSkills(),
+		nodes:  nodes,
+		edges:  edges,
+	}
+	c.wLo, c.wHi, c.invLo, c.invHi = o.wLo, o.wHi, o.invLo, o.invHi
+	c.fold(batch)
+	return c
+}
+
+// fold patches muts into the layer and expands its seeded bounds.
+func (o *OverlayView) fold(muts []Mutation) {
 	// addedHolders accumulates per-skill holder additions and
 	// droppedHolders per-skill removals (tombstoned nodes); both are
 	// merged into holdersPatch at the end.
@@ -191,13 +181,10 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 	var droppedHolders map[expertgraph.SkillID]map[expertgraph.NodeID]struct{}
 
 	skillID := func(name string) expertgraph.SkillID {
-		if id, ok := base.SkillID(name); ok {
+		if id, ok := o.SkillID(name); ok {
 			return id
 		}
-		if id, ok := o.newSkillIDs[name]; ok {
-			return id
-		}
-		id := expertgraph.SkillID(o.nbSk + len(o.newSkillNames))
+		id := expertgraph.SkillID(o.pnSk + len(o.newSkillNames))
 		o.newSkillNames = append(o.newSkillNames, name)
 		if o.newSkillIDs == nil {
 			o.newSkillIDs = make(map[string]expertgraph.SkillID)
@@ -223,25 +210,14 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 		set[u] = struct{}{}
 	}
 	// Bounds only ever expand (covering contract, see the type doc);
-	// retirements just update the tightness bookkeeping.
+	// retirements leave them where they are.
 	foldInv := func(inv float64) { o.invLo.lower(inv); o.invHi.raise(inv) }
 	foldW := func(w float64) { o.wLo.lower(w); o.wHi.raise(w) }
-	retireInv := func(inv float64) { o.invLo.retire(inv); o.invHi.retire(inv) }
-	retireW := func(w float64) { o.wLo.retire(w); o.wHi.retire(w) }
-	effInv := func(u expertgraph.NodeID) float64 {
-		if int(u) >= o.nb {
-			return o.newInv[int(u)-o.nb]
-		}
-		if ov, ok := o.authPatch[u]; ok {
-			return ov.inv
-		}
-		return base.InvAuthority(u)
-	}
 
 	for _, m := range muts {
 		switch m.Op {
 		case OpAddNode:
-			id := expertgraph.NodeID(o.nb + len(o.newNames))
+			id := expertgraph.NodeID(o.pn + len(o.newNames))
 			inv := 1 / m.Authority
 			o.newNames = append(o.newNames, m.Name)
 			o.newAuth = append(o.newAuth, m.Authority)
@@ -266,35 +242,30 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 
 		case OpRemoveEdge:
 			o.maskEdge(m.U, m.V)
-			retireW(m.W)
 
 		case OpUpdateEdge:
 			if o.updateHalf(m.U, m.V, m.W) {
 				o.updateHalf(m.V, m.U, m.W)
 			} else {
-				// A base edge: mask the CSR entry and carry the new
-				// weight as delta halves.
+				// An edge the parent serves: mask it by key and carry the
+				// new weight as layer halves.
 				o.maskEdge(m.U, m.V)
 				o.addHalf(m.U, halfEdge{to: m.V, w: m.W})
 				o.addHalf(m.V, halfEdge{to: m.U, w: m.W})
 			}
-			retireW(m.OldW)
 			foldW(m.W)
 
 		case OpRemoveNode:
 			for _, e := range m.Edges {
 				o.maskEdge(m.Node, e.V)
-				retireW(e.W)
 			}
-			// The tombstone retires the node's authority from the
-			// tightness bookkeeping (bounds stay put — covering) and
-			// its skills from the inverted index.
-			retireInv(effInv(m.Node))
-			for _, s := range o.effectiveSkills(m.Node) {
+			// The tombstone retires the node's skills from the inverted
+			// index; its authority stays inside the covering bounds.
+			for _, s := range o.Skills(m.Node) {
 				dropHolder(s, m.Node)
 			}
-			if int(m.Node) >= o.nb {
-				o.newSkills[int(m.Node)-o.nb] = nil
+			if int(m.Node) >= o.pn {
+				o.newSkills[int(m.Node)-o.pn] = nil
 			} else {
 				if o.skillPatch == nil {
 					o.skillPatch = make(map[expertgraph.NodeID][]expertgraph.SkillID)
@@ -310,11 +281,8 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 			if m.SetAuthority != nil {
 				auth := *m.SetAuthority
 				inv := 1 / auth
-				// The old value leaves the population, the new one joins
-				// it; the bounds only ever expand.
-				retireInv(effInv(m.Node))
-				if int(m.Node) >= o.nb {
-					i := int(m.Node) - o.nb
+				if int(m.Node) >= o.pn {
+					i := int(m.Node) - o.pn
 					o.newAuth[i], o.newInv[i] = auth, inv
 				} else {
 					if o.authPatch == nil {
@@ -326,18 +294,18 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 			}
 			for _, name := range m.AddSkills {
 				s := skillID(name)
-				if o.hasSkillDuringBuild(m.Node, s) {
+				if containsSkill(o.Skills(m.Node), s) {
 					continue
 				}
-				if int(m.Node) >= o.nb {
-					i := int(m.Node) - o.nb
+				if int(m.Node) >= o.pn {
+					i := int(m.Node) - o.pn
 					o.newSkills[i] = append(o.newSkills[i], s)
 				} else {
 					if o.skillPatch == nil {
 						o.skillPatch = make(map[expertgraph.NodeID][]expertgraph.SkillID)
 					}
 					if _, ok := o.skillPatch[m.Node]; !ok {
-						o.skillPatch[m.Node] = append([]expertgraph.SkillID(nil), base.Skills(m.Node)...)
+						o.skillPatch[m.Node] = append([]expertgraph.SkillID(nil), o.parent.Skills(m.Node)...)
 					}
 					o.skillPatch[m.Node] = append(o.skillPatch[m.Node], s)
 				}
@@ -346,9 +314,6 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 		}
 	}
 
-	o.minW, o.maxW = o.wLo.val, o.wHi.val
-	o.minInv, o.maxInv = o.invLo.val, o.invHi.val
-
 	if len(addedHolders) > 0 || len(droppedHolders) > 0 {
 		o.holdersPatch = make(map[expertgraph.SkillID][]expertgraph.NodeID, len(addedHolders)+len(droppedHolders))
 		patchSkill := func(s expertgraph.SkillID) {
@@ -356,18 +321,18 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 				return
 			}
 			dropped := droppedHolders[s]
-			var baseHolders []expertgraph.NodeID
-			if int(s) < o.nbSk {
-				baseHolders = base.ExpertsWithSkill(s)
+			var parentHolders []expertgraph.NodeID
+			if int(s) < o.pnSk {
+				parentHolders = o.parent.ExpertsWithSkill(s)
 			}
 			if len(dropped) > 0 {
-				kept := make([]expertgraph.NodeID, 0, len(baseHolders))
-				for _, u := range baseHolders {
+				kept := make([]expertgraph.NodeID, 0, len(parentHolders))
+				for _, u := range parentHolders {
 					if _, gone := dropped[u]; !gone {
 						kept = append(kept, u)
 					}
 				}
-				baseHolders = kept
+				parentHolders = kept
 			}
 			added := addedHolders[s]
 			if len(dropped) > 0 && len(added) > 0 {
@@ -382,7 +347,7 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 				added = append([]expertgraph.NodeID(nil), added...)
 			}
 			sortNodeIDs(added)
-			o.holdersPatch[s] = mergeSortedNodeIDs(baseHolders, added)
+			o.holdersPatch[s] = mergeSortedNodeIDs(parentHolders, added)
 		}
 		for s := range addedHolders {
 			patchSkill(s)
@@ -391,12 +356,11 @@ func newOverlay(base *expertgraph.Graph, muts []Mutation, nodes, edges int) *Ove
 			patchSkill(s)
 		}
 	}
-	return o
 }
 
 func (o *OverlayView) addHalf(u expertgraph.NodeID, e halfEdge) {
-	if int(u) >= o.nb {
-		i := int(u) - o.nb
+	if int(u) >= o.pn {
+		i := int(u) - o.pn
 		o.newAdj[i] = append(o.newAdj[i], e)
 		return
 	}
@@ -406,12 +370,12 @@ func (o *OverlayView) addHalf(u expertgraph.NodeID, e halfEdge) {
 	o.extraAdj[u] = append(o.extraAdj[u], e)
 }
 
-// dropHalf deletes the delta half-edge u→v if present, reporting
+// dropHalf deletes the layer's half-edge u→v if present, reporting
 // whether it existed.
 func (o *OverlayView) dropHalf(u, v expertgraph.NodeID) bool {
 	var adj []halfEdge
-	if int(u) >= o.nb {
-		adj = o.newAdj[int(u)-o.nb]
+	if int(u) >= o.pn {
+		adj = o.newAdj[int(u)-o.pn]
 	} else {
 		adj = o.extraAdj[u]
 	}
@@ -420,8 +384,8 @@ func (o *OverlayView) dropHalf(u, v expertgraph.NodeID) bool {
 			last := len(adj) - 1
 			adj[i] = adj[last]
 			adj = adj[:last]
-			if int(u) >= o.nb {
-				o.newAdj[int(u)-o.nb] = adj
+			if int(u) >= o.pn {
+				o.newAdj[int(u)-o.pn] = adj
 			} else if last == 0 {
 				delete(o.extraAdj, u)
 			} else {
@@ -433,12 +397,12 @@ func (o *OverlayView) dropHalf(u, v expertgraph.NodeID) bool {
 	return false
 }
 
-// updateHalf re-weights the delta half-edge u→v in place, reporting
+// updateHalf re-weights the layer's half-edge u→v in place, reporting
 // whether it existed.
 func (o *OverlayView) updateHalf(u, v expertgraph.NodeID, w float64) bool {
 	var adj []halfEdge
-	if int(u) >= o.nb {
-		adj = o.newAdj[int(u)-o.nb]
+	if int(u) >= o.pn {
+		adj = o.newAdj[int(u)-o.pn]
 	} else {
 		adj = o.extraAdj[u]
 	}
@@ -451,10 +415,11 @@ func (o *OverlayView) updateHalf(u, v expertgraph.NodeID, w float64) bool {
 	return false
 }
 
-// maskEdge removes the effective edge (u, v) mid-fold: a delta half
-// pair is dropped outright; a base CSR edge is masked by key. An edge
-// that was re-weighted earlier in the delta lives as delta halves over
-// an already-masked base entry, so dropping the halves suffices.
+// maskEdge removes the effective edge (u, v) mid-fold: a half pair
+// the layer added is dropped outright; an edge the parent serves
+// (whatever layer it lives in there) is masked by key. An edge the
+// layer re-weighted earlier lives as layer halves over an
+// already-masked parent entry, so dropping the halves suffices.
 func (o *OverlayView) maskEdge(u, v expertgraph.NodeID) {
 	if o.dropHalf(u, v) {
 		o.dropHalf(v, u)
@@ -467,32 +432,6 @@ func (o *OverlayView) maskEdge(u, v expertgraph.NodeID) {
 	o.removedEdges[edgeKey(u, v)] = struct{}{}
 	o.removedDeg[u]++
 	o.removedDeg[v]++
-}
-
-// isRemoved reports whether u is tombstoned — by this delta or already
-// in the base graph.
-func (o *OverlayView) isRemoved(u expertgraph.NodeID) bool {
-	if _, gone := o.removedNodes[u]; gone {
-		return true
-	}
-	return int(u) < o.nb && o.base.Removed(u)
-}
-
-// effectiveSkills returns u's skill set mid-fold (shared slices; do
-// not modify).
-func (o *OverlayView) effectiveSkills(u expertgraph.NodeID) []expertgraph.SkillID {
-	if int(u) >= o.nb {
-		return o.newSkills[int(u)-o.nb]
-	}
-	if sk, ok := o.skillPatch[u]; ok {
-		return sk
-	}
-	return o.base.Skills(u)
-}
-
-// hasSkillDuringBuild checks the effective skill set of u mid-fold.
-func (o *OverlayView) hasSkillDuringBuild(u expertgraph.NodeID, s expertgraph.SkillID) bool {
-	return containsSkill(o.effectiveSkills(u), s)
 }
 
 func containsSkill(sk []expertgraph.SkillID, s expertgraph.SkillID) bool {
@@ -536,49 +475,49 @@ func (o *OverlayView) NumNodes() int { return o.nodes }
 func (o *OverlayView) NumEdges() int { return o.edges }
 
 // NumSkills returns the size of the skill universe at this epoch.
-func (o *OverlayView) NumSkills() int { return o.nbSk + len(o.newSkillNames) }
+func (o *OverlayView) NumSkills() int { return o.pnSk + len(o.newSkillNames) }
 
 // Name returns the display name of expert u.
 func (o *OverlayView) Name(u expertgraph.NodeID) string {
-	if int(u) >= o.nb {
-		return o.newNames[int(u)-o.nb]
+	if int(u) >= o.pn {
+		return o.newNames[int(u)-o.pn]
 	}
-	return o.base.Name(u)
+	return o.parent.Name(u)
 }
 
 // Authority returns a(u), the raw authority of expert u.
 func (o *OverlayView) Authority(u expertgraph.NodeID) float64 {
-	if int(u) >= o.nb {
-		return o.newAuth[int(u)-o.nb]
+	if int(u) >= o.pn {
+		return o.newAuth[int(u)-o.pn]
 	}
 	if len(o.authPatch) != 0 {
 		if ov, ok := o.authPatch[u]; ok {
 			return ov.auth
 		}
 	}
-	return o.base.Authority(u)
+	return o.parent.Authority(u)
 }
 
 // InvAuthority returns a'(u) = 1/a(u).
 func (o *OverlayView) InvAuthority(u expertgraph.NodeID) float64 {
-	if int(u) >= o.nb {
-		return o.newInv[int(u)-o.nb]
+	if int(u) >= o.pn {
+		return o.newInv[int(u)-o.pn]
 	}
 	if len(o.authPatch) != 0 {
 		if ov, ok := o.authPatch[u]; ok {
 			return ov.inv
 		}
 	}
-	return o.base.InvAuthority(u)
+	return o.parent.InvAuthority(u)
 }
 
 // Pubs returns the publication count of expert u (always 0 for experts
 // added through the mutation API, which carries no publication field).
 func (o *OverlayView) Pubs(u expertgraph.NodeID) int {
-	if int(u) >= o.nb {
+	if int(u) >= o.pn {
 		return 0
 	}
-	return o.base.Pubs(u)
+	return o.parent.Pubs(u)
 }
 
 // Degree returns the number of neighbours of expert u.
@@ -586,10 +525,10 @@ func (o *OverlayView) Degree(u expertgraph.NodeID) int {
 	if _, gone := o.removedNodes[u]; gone {
 		return 0
 	}
-	if int(u) >= o.nb {
-		return len(o.newAdj[int(u)-o.nb])
+	if int(u) >= o.pn {
+		return len(o.newAdj[int(u)-o.pn])
 	}
-	d := o.base.Degree(u)
+	d := o.parent.Degree(u)
 	if len(o.removedDeg) != 0 {
 		d -= o.removedDeg[u]
 	}
@@ -599,14 +538,14 @@ func (o *OverlayView) Degree(u expertgraph.NodeID) int {
 	return d
 }
 
-// Neighbors visits base edges first (minus any the delta masked), then
-// delta edges.
+// Neighbors visits the parent's edges first (minus any the layer
+// masked), then the layer's.
 func (o *OverlayView) Neighbors(u expertgraph.NodeID, fn func(v expertgraph.NodeID, w float64) bool) {
 	if _, gone := o.removedNodes[u]; gone {
 		return
 	}
-	if int(u) >= o.nb {
-		for _, e := range o.newAdj[int(u)-o.nb] {
+	if int(u) >= o.pn {
+		for _, e := range o.newAdj[int(u)-o.pn] {
 			if !fn(e.to, e.w) {
 				return
 			}
@@ -616,11 +555,11 @@ func (o *OverlayView) Neighbors(u expertgraph.NodeID, fn func(v expertgraph.Node
 	extra := o.extraAdj[u]
 	if len(o.removedEdges) == 0 {
 		if len(extra) == 0 {
-			o.base.Neighbors(u, fn)
+			o.parent.Neighbors(u, fn)
 			return
 		}
 		stopped := false
-		o.base.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
+		o.parent.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
 			if !fn(v, w) {
 				stopped = true
 				return false
@@ -632,7 +571,7 @@ func (o *OverlayView) Neighbors(u expertgraph.NodeID, fn func(v expertgraph.Node
 		}
 	} else {
 		stopped := false
-		o.base.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
+		o.parent.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
 			if _, masked := o.removedEdges[edgeKey(u, v)]; masked {
 				return true
 			}
@@ -654,12 +593,12 @@ func (o *OverlayView) Neighbors(u expertgraph.NodeID, fn func(v expertgraph.Node
 }
 
 // EdgeWeight returns the weight of edge (u,v) and whether it exists.
-// Delta halves take precedence (they carry re-weights); masked base
-// entries are invisible.
+// The layer's halves take precedence (they carry re-weights); masked
+// parent entries are invisible.
 func (o *OverlayView) EdgeWeight(u, v expertgraph.NodeID) (float64, bool) {
 	var extra []halfEdge
-	if int(u) >= o.nb {
-		extra = o.newAdj[int(u)-o.nb]
+	if int(u) >= o.pn {
+		extra = o.newAdj[int(u)-o.pn]
 	} else {
 		extra = o.extraAdj[u]
 	}
@@ -668,20 +607,20 @@ func (o *OverlayView) EdgeWeight(u, v expertgraph.NodeID) (float64, bool) {
 			return e.w, true
 		}
 	}
-	if int(u) < o.nb && int(v) < o.nb {
+	if int(u) < o.pn && int(v) < o.pn {
 		if len(o.removedEdges) != 0 {
 			if _, masked := o.removedEdges[edgeKey(u, v)]; masked {
 				return 0, false
 			}
 		}
-		return o.base.EdgeWeight(u, v)
+		return o.parent.EdgeWeight(u, v)
 	}
 	return 0, false
 }
 
 // SkillID resolves a skill name to its ID.
 func (o *OverlayView) SkillID(name string) (expertgraph.SkillID, bool) {
-	if id, ok := o.base.SkillID(name); ok {
+	if id, ok := o.parent.SkillID(name); ok {
 		return id, true
 	}
 	id, ok := o.newSkillIDs[name]
@@ -690,24 +629,24 @@ func (o *OverlayView) SkillID(name string) (expertgraph.SkillID, bool) {
 
 // SkillName returns the name of skill s.
 func (o *OverlayView) SkillName(s expertgraph.SkillID) string {
-	if int(s) >= o.nbSk {
-		return o.newSkillNames[int(s)-o.nbSk]
+	if int(s) >= o.pnSk {
+		return o.newSkillNames[int(s)-o.pnSk]
 	}
-	return o.base.SkillName(s)
+	return o.parent.SkillName(s)
 }
 
 // Skills returns the skills held by expert u. The returned slice is
 // shared with the view and must not be modified.
 func (o *OverlayView) Skills(u expertgraph.NodeID) []expertgraph.SkillID {
-	if int(u) >= o.nb {
-		return o.newSkills[int(u)-o.nb]
+	if int(u) >= o.pn {
+		return o.newSkills[int(u)-o.pn]
 	}
 	if len(o.skillPatch) != 0 {
 		if sk, ok := o.skillPatch[u]; ok {
 			return sk
 		}
 	}
-	return o.base.Skills(u)
+	return o.parent.Skills(u)
 }
 
 // HasSkill reports whether expert u holds skill s.
@@ -723,8 +662,8 @@ func (o *OverlayView) ExpertsWithSkill(s expertgraph.SkillID) []expertgraph.Node
 			return holders
 		}
 	}
-	if int(s) < o.nbSk {
-		return o.base.ExpertsWithSkill(s)
+	if int(s) < o.pnSk {
+		return o.parent.ExpertsWithSkill(s)
 	}
 	return nil
 }
@@ -732,25 +671,22 @@ func (o *OverlayView) ExpertsWithSkill(s expertgraph.SkillID) []expertgraph.Node
 // EdgeWeightBounds returns the covering (min, max) edge weight bounds
 // at this epoch — identical to what materializing the graph (which
 // widens to match, see Snapshot.Graph) would answer.
-func (o *OverlayView) EdgeWeightBounds() (lo, hi float64) { return o.minW, o.maxW }
+func (o *OverlayView) EdgeWeightBounds() (lo, hi float64) { return o.wLo.val, o.wHi.val }
 
 // InvAuthorityBounds returns the covering (min, max) inverse-authority
 // bounds at this epoch, over live (non-tombstoned) experts.
-func (o *OverlayView) InvAuthorityBounds() (lo, hi float64) { return o.minInv, o.maxInv }
-
-// BoundsTight reports whether the covering edge-weight and
-// inverse-authority bounds are each provably tight at this epoch —
-// i.e. some live value is known to still hold every extreme. False is
-// conservative: the bounds remain valid covering bounds either way,
-// only possibly wider than the live population's true extremes.
-func (o *OverlayView) BoundsTight() (w, inv bool) {
-	return o.wLo.tight() && o.wHi.tight(), o.invLo.tight() && o.invHi.tight()
-}
+func (o *OverlayView) InvAuthorityBounds() (lo, hi float64) { return o.invLo.val, o.invHi.val }
 
 // ValidNode reports whether u is a live node of this view (tombstoned
 // experts fail, as on a materialized graph).
 func (o *OverlayView) ValidNode(u expertgraph.NodeID) bool {
-	return u >= 0 && int(u) < o.nodes && !o.isRemoved(u)
+	if u < 0 || int(u) >= o.nodes {
+		return false
+	}
+	if _, gone := o.removedNodes[u]; gone {
+		return false
+	}
+	return int(u) >= o.pn || o.parent.ValidNode(u)
 }
 
 var _ expertgraph.GraphView = (*OverlayView)(nil)

@@ -211,17 +211,11 @@ func (s *Store) AdoptBase(g *expertgraph.Graph, epoch, term uint64) error {
 	s.termStart.Store(ts.termStart)
 	s.fenced.Store(ts.fenced)
 	s.resetWriterState()
-	s.snap.Store(&Snapshot{
-		epoch: epoch, baseEpoch: epoch,
-		base: g, g: g,
-		nodes: s.nNodes, edges: s.nEdges,
-		prevBaseEpoch: epoch,
-		adoptions:     s.baseAdoptions.Load() + 1,
-		matCtr:        &s.materialized,
-		overlayHist:   s.overlayHist,
-	})
-	s.bumpWatch()
+	// Count the adoption first: the published snapshot carries the new
+	// lineage's adoption count.
 	s.baseAdoptions.Add(1)
+	s.snap.Store(s.buildSnapshotLocked())
+	s.bumpWatch()
 	return nil
 }
 

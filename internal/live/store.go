@@ -198,10 +198,13 @@ type Store struct {
 	// the ID-space size (tombstoned nodes keep their slot); edgeSet
 	// maps each live undirected edge to its stored weight, so removals
 	// and re-weights can journal the previous weight without touching a
-	// graph. removedNodes holds the tombstoned IDs.
+	// graph; degree holds each node's live edge count, against which
+	// replay checks a journaled remove_node's edge list. removedNodes
+	// holds the tombstoned IDs.
 	nNodes       int
 	nEdges       int
 	edgeSet      map[uint64]float64
+	degree       []int32
 	removedNodes map[expertgraph.NodeID]struct{}
 
 	// watermark is the background compactor's early-fold signal: when a
@@ -258,9 +261,9 @@ type Store struct {
 	// follower recovering across a leader fold, never a local fold.
 	baseAdoptions atomic.Uint64
 	// commits counts group commits (published batches); commits ≤ epoch
-	// and the gap is the batching win. refolds counts chained-overlay
-	// chain resets forced by the depth guard (full O(|delta|) refolds
-	// amortized over maxChainDepth cheap chained builds).
+	// and the gap is the batching win. refolds counts the overlay chains
+	// the depth guard reset with a fold of the resident log over the base
+	// (one O(|log|) build amortized over maxChainDepth O(|batch|) ones).
 	commits atomic.Uint64
 	refolds atomic.Uint64
 
@@ -436,12 +439,7 @@ func Open(base *expertgraph.Graph, cfg Config) (*Store, error) {
 	}
 
 	s.resetWriterState()
-	s.snap.Store(&Snapshot{
-		epoch: s.baseEpoch, baseEpoch: s.baseEpoch,
-		base: s.base, g: s.base,
-		nodes: s.nNodes, edges: s.nEdges,
-		matCtr: &s.materialized, overlayHist: s.overlayHist,
-	})
+	s.snap.Store(s.buildSnapshotLocked())
 
 	// Replay is in effect one giant batch: each record is validated and
 	// folded into the writer state, and a single snapshot is published
@@ -474,15 +472,17 @@ func Open(base *expertgraph.Graph, cfg Config) (*Store, error) {
 }
 
 // resetWriterState rebuilds the O(1)-validation state — node/edge
-// counts, the live-edge weight map, the tombstone set — from the
-// in-memory base graph. Called under mu (or before the store is
-// shared): at Open, and when AdoptBase replaces the base wholesale.
+// counts, the live-edge weight map, the degrees, the tombstone set —
+// from the in-memory base graph. Called under mu (or before the store
+// is shared): at Open, and when AdoptBase replaces the base wholesale.
 func (s *Store) resetWriterState() {
 	s.nNodes = s.base.NumNodes()
 	s.nEdges = s.base.NumEdges()
 	s.edgeSet = make(map[uint64]float64, s.nEdges)
+	s.degree = make([]int32, s.nNodes)
 	s.removedNodes = nil
 	for u := expertgraph.NodeID(0); int(u) < s.nNodes; u++ {
+		s.degree[u] = int32(s.base.Degree(u))
 		s.base.Neighbors(u, func(v expertgraph.NodeID, w float64) bool {
 			if u < v {
 				s.edgeSet[edgeKey(u, v)] = w
@@ -622,23 +622,19 @@ func (s *Store) Compactions() uint64 { return s.compactions.Load() }
 // gap between epoch and commits is the batching win.
 func (s *Store) Commits() uint64 { return s.commits.Load() }
 
-// Refolds reports how many full overlay refolds the chain depth guard
-// has forced (each one resets the chained-view lineage to a fresh
-// fold from base).
+// Refolds reports how many times the chain depth guard reset the
+// overlay chain with a fold of the resident log over the base.
 func (s *Store) Refolds() uint64 { return s.refolds.Load() }
 
 // ChainDepth reports the chain depth of the current epoch's overlay
-// view: 0 when the view is refolded straight from the base (or not
-// built yet), k when it patches a depth k−1 view.
+// view: 0 when the view folds the resident log over the base (or is
+// the base, or is not built yet), k when it patches a depth k−1 view.
 func (s *Store) ChainDepth() int {
 	sn := s.snap.Load()
 	if !sn.viewReady.Load() {
 		return 0
 	}
-	if cv, ok := sn.view.(*chainView); ok {
-		return cv.depth
-	}
-	return 0
+	return sn.view.depth
 }
 
 // BaseEpoch returns the epoch of the store's in-memory base graph: 0
@@ -825,10 +821,10 @@ func (s *Store) ApplyGroup(ms []Mutation) (lastEpoch uint64, applied int, err er
 // validateMutation checks m against the writer state overlaid with sh
 // (the effects of earlier ops in the same uncommitted batch) and fills
 // the apply-time fields: W/OldW for edge removals and re-weights, and
-// — when fresh is true — the incident-edge list of a node removal.
-// Replay and follower apply pass fresh=false and trust the journaled
-// list instead: it was captured when the mutation was first applied,
-// and recomputing it would have to reconstruct pre-removal state.
+// the incident-edge list of a node removal — captured from the
+// adjacency when fresh is true (the committer: local writes and
+// follower apply), checked and re-weighted when false (journal replay,
+// whose shadow is always empty, so the writer state is the truth).
 // It returns the NodeID an add_node will be assigned. Caller holds mu.
 func (s *Store) validateMutation(m *Mutation, sh *batchShadow, fresh bool) (expertgraph.NodeID, error) {
 	var newID expertgraph.NodeID
@@ -925,11 +921,26 @@ func (s *Store) validateMutation(m *Mutation, sh *batchShadow, fresh bool) (expe
 			// pre-batch snapshot view adjusted by the staged batch
 			// effects, so mid-batch removals see mid-batch adjacency.
 			m.Edges = sh.incidentEdges(m.Node)
+			break
 		}
-		for _, e := range m.Edges {
-			if _, ok := sh.edgeWeight(m.Node, e.V); !ok {
+		// Replay: the journaled list must be the node's live adjacency
+		// exactly — strictly ascending by far endpoint, one entry per
+		// live edge — or the tombstone would keep live neighbours and no
+		// later fold could materialize the graph. Weights come from the
+		// writer state, like remove_edge's W.
+		if d := s.degree[m.Node]; len(m.Edges) != int(d) {
+			return 0, fmt.Errorf("live: remove_node %d lists %d edges, node has %d", m.Node, len(m.Edges), d)
+		}
+		for i := range m.Edges {
+			e := &m.Edges[i]
+			if i > 0 && e.V <= m.Edges[i-1].V {
+				return 0, fmt.Errorf("live: remove_node %d edge list not strictly ascending at %d", m.Node, e.V)
+			}
+			w, ok := sh.edgeWeight(m.Node, e.V)
+			if !ok {
 				return 0, fmt.Errorf("%w: (%d,%d)", ErrUnknownEdge, m.Node, e.V)
 			}
+			e.W = w
 		}
 	default:
 		return 0, fmt.Errorf("live: unknown op %q", m.Op)
@@ -944,16 +955,21 @@ func (s *Store) stateApply(m Mutation) {
 	switch m.Op {
 	case OpAddNode:
 		s.nNodes++
+		s.degree = append(s.degree, 0)
 		s.nodesAdded.Add(1)
 	case OpAddEdge:
 		s.edgeSet[edgeKey(m.U, m.V)] = m.W
 		s.nEdges++
+		s.degree[m.U]++
+		s.degree[m.V]++
 		s.edgesAdded.Add(1)
 	case OpUpdateNode:
 		s.nodesUpdated.Add(1)
 	case OpRemoveEdge:
 		delete(s.edgeSet, edgeKey(m.U, m.V))
 		s.nEdges--
+		s.degree[m.U]--
+		s.degree[m.V]--
 		s.edgesRemoved.Add(1)
 	case OpUpdateEdge:
 		s.edgeSet[edgeKey(m.U, m.V)] = m.W
@@ -961,8 +977,10 @@ func (s *Store) stateApply(m Mutation) {
 	case OpRemoveNode:
 		for _, e := range m.Edges {
 			delete(s.edgeSet, edgeKey(m.Node, e.V))
+			s.degree[e.V]--
 		}
 		s.nEdges -= len(m.Edges)
+		s.degree[m.Node] = 0
 		if s.removedNodes == nil {
 			s.removedNodes = make(map[expertgraph.NodeID]struct{})
 		}
@@ -978,8 +996,9 @@ func (s *Store) stateApply(m Mutation) {
 }
 
 // buildSnapshotLocked assembles (without publishing) the snapshot of
-// the current writer state. Caller holds mu, or has exclusive access
-// during Open.
+// the current writer state: every whole-store publish (commit, replay,
+// Open, re-base, base adoption) goes through it. Caller holds mu, or
+// has exclusive access during Open.
 func (s *Store) buildSnapshotLocked() *Snapshot {
 	next := &Snapshot{
 		epoch:         s.baseEpoch + uint64(len(s.log)),
@@ -1031,12 +1050,13 @@ type Snapshot struct {
 	g    *expertgraph.Graph
 	err  error
 
-	viewOnce sync.Once
-	view     expertgraph.GraphView
-	// viewReady flips true once view is built (by View, or preset by
-	// the committer before publication). The committer loads it to
-	// decide whether the next batch can chain off this epoch's view
-	// without forcing a build nobody asked for.
+	// view is the epoch's overlay (nil at the base epoch, where View
+	// answers from the base graph). viewReady flips true once it is
+	// built (by View, or preset by the committer before publication).
+	// The committer loads it to decide whether the next batch can extend
+	// this epoch's view without forcing a build nobody asked for.
+	viewOnce  sync.Once
+	view      *OverlayView
 	viewReady atomic.Bool
 }
 
@@ -1087,18 +1107,16 @@ func (sn *Snapshot) Graph() (*expertgraph.Graph, error) {
 }
 
 // View returns the epoch's read-only graph view without materializing
-// anything: the base graph itself at the base epoch, and a delta
-// overlay (base CSR + per-node patches, O(|delta|) to construct,
-// memoized per snapshot) afterwards. This is the read path the whole
-// query stack — transform fit, distance oracles, Algorithm 1, team
-// evaluation — consumes.
+// anything: the base graph itself at the base epoch, and an
+// OverlayView afterwards (preset by the committer, or folded from the
+// resident log over the base on first use and memoized per snapshot).
+// This is the read path the whole query stack — transform fit,
+// distance oracles, Algorithm 1, team evaluation — consumes.
 func (sn *Snapshot) View() expertgraph.GraphView {
+	if sn.epoch == sn.baseEpoch {
+		return sn.base
+	}
 	sn.viewOnce.Do(func() {
-		if sn.epoch == sn.baseEpoch {
-			sn.view = sn.base
-			sn.viewReady.Store(true)
-			return
-		}
 		var start time.Time
 		if sn.overlayHist != nil {
 			start = time.Now()

@@ -89,6 +89,13 @@ func randomEdge(rng *rand.Rand, g expertgraph.GraphView) (expertgraph.NodeID, ex
 // (rejections are fine — they advance nothing on either side).
 func mutateRandomly(t *testing.T, st *Store, rng *rand.Rand, count int) {
 	t.Helper()
+	mutateRandomlyThen(t, st, rng, count, func() {})
+}
+
+// mutateRandomlyThen is mutateRandomly calling after once each
+// mutation call returns, committed or rejected.
+func mutateRandomlyThen(t *testing.T, st *Store, rng *rand.Rand, count int, after func()) {
+	t.Helper()
 	for i := 0; i < count; i++ {
 		n := st.Snapshot().NumNodes()
 		switch rng.Intn(12) {
@@ -101,6 +108,7 @@ func mutateRandomly(t *testing.T, st *Store, rng *rand.Rand, count int) {
 			if err != nil {
 				t.Fatalf("add expert: %v", err)
 			}
+			after()
 			// Wire the newcomer in so every skill stays reachable
 			// (the anchor may be tombstoned — a rejection is fine).
 			if _, err := st.AddCollaboration(id, expertgraph.NodeID(rng.Intn(n)), 0.05+0.9*rng.Float64()); err != nil && !errors.Is(err, ErrRemovedNode) {
@@ -138,6 +146,7 @@ func mutateRandomly(t *testing.T, st *Store, rng *rand.Rand, count int) {
 			u, v := expertgraph.NodeID(rng.Intn(n)), expertgraph.NodeID(rng.Intn(n))
 			_, _ = st.AddCollaboration(u, v, 0.05+0.9*rng.Float64())
 		}
+		after()
 	}
 }
 
@@ -206,11 +215,11 @@ func checkViewStructure(t *testing.T, gv expertgraph.GraphView, gm *expertgraph.
 }
 
 // assertViewsIdentical compares two GraphViews over the full read
-// surface: sizes, bounds *and* tightness flags, every node record,
-// adjacency set, skill table and holder list (order-exact — the
-// contract sorts holders). It is the chained-vs-refolded differential:
-// a view derived by patching a memoized parent must be observationally
-// identical to one folded from the base in a single pass.
+// surface: sizes, bounds, every node record, adjacency set, skill
+// table and holder list (order-exact — the contract sorts holders).
+// It is the chained-vs-refolded differential: a layer extending the
+// previous epoch's view must be observationally identical to one
+// folded from the base in a single pass.
 func assertViewsIdentical(t *testing.T, a, b expertgraph.GraphView) {
 	t.Helper()
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() || a.NumSkills() != b.NumSkills() {
@@ -227,11 +236,6 @@ func assertViewsIdentical(t *testing.T, a, b expertgraph.GraphView) {
 	bil, bih := b.InvAuthorityBounds()
 	if ail != bil || aih != bih {
 		t.Fatalf("inv-authority bounds: (%v,%v) vs (%v,%v)", ail, aih, bil, bih)
-	}
-	awt, ait := a.(interface{ BoundsTight() (bool, bool) }).BoundsTight()
-	bwt, bit := b.(interface{ BoundsTight() (bool, bool) }).BoundsTight()
-	if awt != bwt || ait != bit {
-		t.Fatalf("tightness flags: (%v,%v) vs (%v,%v)", awt, ait, bwt, bit)
 	}
 	for u := expertgraph.NodeID(0); int(u) < a.NumNodes(); u++ {
 		if a.Name(u) != b.Name(u) || a.Authority(u) != b.Authority(u) ||
@@ -289,6 +293,13 @@ func feasibleProject(rng *rand.Rand, g expertgraph.GraphView, want int) []expert
 // materializations. Every round ends with a Compact, so from round two
 // onward the overlays are patched over a *re-based* base graph: the
 // results must stay byte-identical across re-base boundaries.
+//
+// The stream reads the view after every mutation, so the committer
+// presets every epoch's view: a chain root over the base after each
+// Compact, then one layer per commit, refolded over the base at the
+// depth guard. Each preset view must equal a one-pass fold of the
+// resident log over the base, and the chain's depth and refold count
+// must follow that policy exactly.
 func TestOverlayDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	base := randomBase(t, rng, 60)
@@ -345,38 +356,29 @@ func TestOverlayDifferential(t *testing.T) {
 		return out
 	}
 
-	sawChain := false
+	// Commit c of a round (counted from its Compact) builds the chain
+	// root at c = 1 and extends by one layer per commit after that,
+	// until a layer at the depth guard makes the next commit refold.
+	const period = maxChainDepth + 1
 	for round := 0; round < 4; round++ {
-		mutateRandomly(t, st, rng, 30)
+		commits0, refolds0 := st.Commits(), st.Refolds()
+		mutateRandomlyThen(t, st, rng, 30, func() {
+			sn := st.Snapshot()
+			c := st.Commits() - commits0
+			if c == 0 {
+				return // still at the base epoch: the view is the base graph
+			}
+			gv := sn.View()
+			if d, want := st.ChainDepth(), int((c-1)%period); d != want {
+				t.Fatalf("round %d commit %d: chain depth %d, want %d", round, c, d, want)
+			}
+			if r, want := st.Refolds()-refolds0, (c-1)/period; r != want {
+				t.Fatalf("round %d commit %d: %d refolds, want %d", round, c, r, want)
+			}
+			assertViewsIdentical(t, gv, newOverlay(sn.base, sn.log[:sn.epoch-sn.baseEpoch], sn.nodes, sn.edges))
+		})
 		snap := st.Snapshot()
 		gv := snap.View()
-
-		// Chained-vs-refolded differential: apply one more mutation on
-		// top of the just-built view, so the committer derives the next
-		// epoch's view by patching gv (or resets the chain at the refold
-		// guard). Either way it must be observationally identical to a
-		// one-pass fold of the same log over the same base.
-		var anchor expertgraph.NodeID
-		for int(anchor) < snap.NumNodes() && !gv.ValidNode(anchor) {
-			anchor++
-		}
-		refoldsBefore := st.Refolds()
-		auth := float64(5 + round)
-		if _, err := st.UpdateExpert(anchor, &auth, nil); err != nil {
-			t.Fatal(err)
-		}
-		chained := st.Snapshot()
-		cgv := chained.View()
-		if d := st.ChainDepth(); d > 0 {
-			sawChain = true
-		} else if st.Refolds() == refoldsBefore && chained.epoch > chained.baseEpoch {
-			t.Fatalf("round %d: view after mutation neither chained nor refolded", round)
-		}
-		refold := newOverlay(chained.base, chained.log[:chained.epoch-chained.baseEpoch],
-			chained.nodes, chained.edges)
-		assertViewsIdentical(t, cgv, refold)
-		snap = chained
-		gv = cgv
 
 		before := st.Materializations()
 		project := feasibleProject(rand.New(rand.NewSource(int64(round))), gv, 3)
@@ -418,16 +420,18 @@ func TestOverlayDifferential(t *testing.T) {
 				round, st.BaseEpoch(), st.LogLen(), snap.Epoch())
 		}
 	}
-	if !sawChain {
-		t.Fatal("chained views never engaged across the mutation stream")
+	if st.Refolds() < 2 || st.Compactions() != 4 {
+		t.Fatalf("stream crossed %d refolds and %d compactions, want ≥ 2 and 4", st.Refolds(), st.Compactions())
 	}
 }
 
 // TestOverlayBoundsCovering pins the covering-bounds contract: an
 // authority update that retires the current inverse-authority extreme
-// leaves the bounds where they are (still covering, provably no longer
-// tight), the materialized graph widens to answer the identical
-// bounds, and BoundsTight reports the looseness honestly.
+// leaves the bounds where they are, and the materialized graph widens
+// to answer the identical bounds. Its second half pins the seeding of
+// an emptied population: a fold that retired every edge and every live
+// expert leaves a base reporting the old bounds, yet the next epoch's
+// view and materialized graph both start those populations afresh.
 func TestOverlayBoundsCovering(t *testing.T) {
 	b := expertgraph.NewBuilder(3, 2)
 	b.AddNode("low", 1, "a")   // inv 1.0 — the max extreme
@@ -461,23 +465,46 @@ func TestOverlayBoundsCovering(t *testing.T) {
 	if vl != 0.1 || vh != 1.0 {
 		t.Fatalf("covering bounds = (%v,%v), want (0.1,1.0) — retirement must not shrink them", vl, vh)
 	}
-	wTight, invTight := gv.(interface{ BoundsTight() (bool, bool) }).BoundsTight()
-	if !wTight {
-		t.Fatal("edge-weight bounds reported loose; no weight was touched")
-	}
-	if invTight {
-		t.Fatal("inverse-authority bounds reported tight; the sole max holder retired")
-	}
 
-	// A second expert re-occupying the old extreme makes the bound
-	// provably tight again.
-	auth2 := 1.0 // inv 1.0 lands exactly on the covering max
-	if _, err := st.UpdateExpert(1, &auth2, nil); err != nil {
+	// Remove the only edge (w=0.5) and both experts, then fold: the new
+	// base has no edges and no live experts but reports the covering
+	// bounds (0.5,0.5) and (0.25,0.5) its fold carried.
+	b = expertgraph.NewBuilder(2, 1)
+	b.AddNode("a", 2, "a") // inv 0.5
+	b.AddNode("b", 4, "b") // inv 0.25
+	b.AddEdge(0, 1, 0.5)
+	if g, err = b.Build(); err != nil {
 		t.Fatal(err)
 	}
-	gv2 := st.Snapshot().View()
-	if _, invTight2 := gv2.(interface{ BoundsTight() (bool, bool) }).BoundsTight(); !invTight2 {
-		t.Fatal("inverse-authority bounds still reported loose after a value re-occupied the extreme")
+	st2 := mustOpen(t, g, Config{JournalPath: filepath.Join(t.TempDir(), "wal")})
+	if _, err := st2.RemoveCollaboration(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for u := expertgraph.NodeID(0); u < 2; u++ {
+		if _, err := st2.RemoveExpert(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if l, h := st2.Snapshot().View().EdgeWeightBounds(); l != 0.5 || h != 0.5 {
+		t.Fatalf("folded edgeless base reports edge bounds (%v,%v), want (0.5,0.5)", l, h)
+	}
+	if _, _, err := st2.AddExpert("c", 8, []string{"c"}); err != nil { // inv 0.125
+		t.Fatal(err)
+	}
+	snap = st2.Snapshot()
+	gv = snap.View()
+	if gm, err = snap.Graph(); err != nil {
+		t.Fatal(err)
+	}
+	checkViewStructure(t, gv, gm)
+	if l, h := gv.EdgeWeightBounds(); l != 0 || h != 0 {
+		t.Fatalf("edge bounds after the emptied fold (%v,%v), want (0,0)", l, h)
+	}
+	if l, h := gv.InvAuthorityBounds(); l != 0.125 || h != 0.125 {
+		t.Fatalf("inv-authority bounds after the emptied fold (%v,%v), want (0.125,0.125)", l, h)
 	}
 }
 

@@ -65,6 +65,40 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
+// TestExpositionDuringObservation scrapes a histogram while goroutines
+// observe it: every scrape must parse, so its _count must equal the
+// +Inf bucket it reports alongside.
+func TestExpositionDuringObservation(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("obs_latency_seconds", "latency", nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(0.001)
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseExposition(strings.NewReader(b.String())); err != nil {
+			t.Fatalf("scrape %d: %v", i, err)
+		}
+	}
+}
+
 // TestExpositionRoundTrip renders a registry exercising every
 // instrument kind and label shape, then re-parses it with the strict
 // parser: every family must be declared, well-formed, and carry the

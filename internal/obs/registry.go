@@ -516,7 +516,10 @@ func writeHistogram(b *strings.Builder, name string, labels, values []string, h 
 		writeSample(b, name+"_bucket", labels, values, "le", le, formatUint(cum))
 	}
 	writeSample(b, name+"_sum", labels, values, "", "", formatFloat(h.Sum()))
-	writeSample(b, name+"_count", labels, values, "", "", formatUint(h.Count()))
+	// _count repeats the +Inf bucket rather than reading h.count again:
+	// an Observe between the two reads would make the scrape report
+	// more observations than its buckets hold.
+	writeSample(b, name+"_count", labels, values, "", "", formatUint(cum))
 }
 
 // writeSample emits one exposition line. extraK/extraV append one

@@ -152,7 +152,17 @@ func TestMetricsEndpointFollower(t *testing.T) {
 	if status != http.StatusCreated {
 		t.Fatalf("add node: %d: %s", status, data)
 	}
-	_, fts := newFollowerServer(t, lts.URL, ls.store.Epoch(), nil)
+	fs, fts := newFollowerServer(t, lts.URL, ls.store.Epoch(), nil)
+	// The follower counts a tail group as applied once ApplyGroup
+	// returns, a moment after the epoch newFollowerServer waited for
+	// is published; wait for the count before scraping it.
+	deadline := time.Now().Add(15 * time.Second)
+	for st, _ := fs.node.FollowerStats(); st.Applied == 0; st, _ = fs.node.FollowerStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower at epoch %d never counted an applied record: %+v", fs.store.Epoch(), st)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	fams := scrapeFamilies(t, fts.URL)
 	for _, want := range []string{
