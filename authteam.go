@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/url"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -242,7 +241,6 @@ func New(g *Graph, opt Options) (*Client, error) {
 		FollowPoll:       opt.FollowPoll,
 		NoNormalize:      opt.NoNormalize,
 		RepairBudget:     512,
-		Workers:          runtime.NumCPU(),
 		Metrics:          opt.Metrics,
 	})
 	if err != nil {

@@ -82,13 +82,20 @@ func BenchmarkIndexBuild_G(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexBuild_GPrime also reports the cover's size: its label
+// entries, and how much the packed encoding saves over []labelEntry
+// (16 B per entry).
 func BenchmarkIndexBuild_GPrime(b *testing.B) {
 	benchSetup(b)
 	w := benchP.EdgeWeight()
 	b.ReportAllocs()
+	var ix *pll.Index
 	for i := 0; i < b.N; i++ {
-		pll.BuildWithOptions(benchG, pll.Options{Weight: w})
+		ix = pll.BuildWithOptions(benchG, pll.Options{Weight: w})
 	}
+	st := ix.Stats()
+	b.ReportMetric(float64(st.TotalEntries), "label-entries")
+	b.ReportMetric(100*(1-float64(st.PackedBytes)/float64(st.UnpackedBytes)), "label-shrink-%")
 }
 
 func benchmarkQuery(b *testing.B, m core.Method, skills int) {

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -341,23 +340,19 @@ func runQuery(args []string) {
 		method := map[string]core.Method{
 			"cc": core.CC, "ca-cc": core.CACC, "sa-ca-cc": core.SACACC,
 		}[*methodArg]
-		// With -index the 2-hop cover is built once over the method's
-		// search weights and shared by every root-scan goroutine; the
-		// parallel path requires a concurrency-safe oracle, which the
-		// per-root Dijkstra oracle is not, so without -index the scan
-		// creates one Dijkstra oracle per worker internally. The build
-		// itself shards over -workers too (all cores when unset).
+		// With -index the 2-hop cover is built once, by one sequential
+		// sweep over the method's search weights, and shared by every
+		// root-scan goroutine; the sharded scan requires a
+		// concurrency-safe oracle, which the per-root Dijkstra oracle is
+		// not, so without -index the scan creates one Dijkstra oracle per
+		// worker internally.
 		var dist oracle.Oracle
 		if *useIndex {
 			var weight oracle.WeightFunc
 			if method != core.CC {
 				weight = p.EdgeWeight()
 			}
-			bw := *workers
-			if bw < 2 {
-				bw = runtime.NumCPU()
-			}
-			dist = oracle.BuildPLLParallel(p.Graph(), weight, bw)
+			dist = oracle.BuildPLL(p.Graph(), weight)
 		}
 		teams, err = core.TopKParallel(p, method, project, *k, *workers, dist)
 	case "random":

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -92,19 +91,6 @@ func WithOracle(o oracle.Oracle) Option {
 // construction time instead of using per-root Dijkstra.
 func WithPLL() Option {
 	return func(d *Discoverer) { d.dist = oracle.BuildPLL(d.g, d.weight) }
-}
-
-// BuildIndexOracle constructs a 2-hop cover oracle over method m's
-// search weights — raw stored weights for CC, the G' weights of
-// p.EdgeWeight() otherwise. It is the sharable equivalent of WithPLL:
-// the returned oracle is safe for concurrent use and can serve every
-// discoverer (and TopKParallel call) with the same method and γ.
-func BuildIndexOracle(p *transform.Params, m Method) *oracle.PLLOracle {
-	var weight oracle.WeightFunc
-	if m != CC {
-		weight = p.EdgeWeight()
-	}
-	return oracle.BuildPLLParallel(p.Graph(), weight, runtime.NumCPU())
 }
 
 // WithRoots restricts the candidate roots of line 3 of Algorithm 1.

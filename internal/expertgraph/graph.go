@@ -81,9 +81,12 @@ type Graph struct {
 	// bounds had already outlived a retired extreme (see WidenBounds).
 	// Keeping bounds covering instead of tight is what lets a deletion
 	// of the current extreme route through decremental index repair
-	// rather than invalidating every transformed weight at once.
-	minW, maxW     float64 // edge-weight bounds (0,0 when no edges)
-	minInv, maxInv float64 // inverse-authority bounds (0,0 when empty)
+	// rather than invalidating every transformed weight at once. Build
+	// leaves a missing population at (0,0), but a graph materialized
+	// after a fold that retired every edge (or every live expert) keeps
+	// the retired interval, so (0,0) does not follow from no edges.
+	minW, maxW     float64 // edge-weight bounds
+	minInv, maxInv float64 // inverse-authority bounds over live experts
 }
 
 // NumNodes returns the number of experts.
@@ -167,13 +170,17 @@ func (g *Graph) ExpertsWithSkill(s SkillID) []NodeID {
 	return g.skillOf[g.skillOff[s]:g.skillOff[s+1]]
 }
 
-// EdgeWeightBounds returns the covering (min, max) edge weight bounds,
-// or (0, 0) if the graph has no edges. The bounds contain every stored
-// weight but may be wider than the tight extremes; see WidenBounds.
+// EdgeWeightBounds returns the covering (min, max) edge weight bounds:
+// (0, 0) for a graph built without edges, the retired interval for one
+// materialized after a fold that retired every edge. The bounds contain
+// every stored weight but may be wider than the tight extremes; see
+// WidenBounds.
 func (g *Graph) EdgeWeightBounds() (lo, hi float64) { return g.minW, g.maxW }
 
 // InvAuthorityBounds returns the covering (min, max) inverse-authority
-// bounds over live experts, or (0, 0) if the graph has no live nodes.
+// bounds over live experts: (0, 0) for a graph built without live
+// experts, the retired interval for one materialized after a fold that
+// retired every live expert.
 func (g *Graph) InvAuthorityBounds() (lo, hi float64) { return g.minInv, g.maxInv }
 
 // WidenBounds expands the graph's normalization bounds to cover the

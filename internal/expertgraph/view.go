@@ -55,14 +55,15 @@ type GraphView interface {
 	// sorted by NodeID.
 	ExpertsWithSkill(s SkillID) []NodeID
 
-	// EdgeWeightBounds returns covering (min, max) edge weight bounds —
+	// EdgeWeightBounds returns covering (min, max) edge weight bounds:
 	// every stored weight lies inside, but the interval may be wider
 	// than the tight extremes once a live view has outlived a retired
-	// extreme — or (0, 0) when the graph has no edges.
+	// extreme. A graph built without edges reports (0, 0); one with no
+	// edges left can still report the interval of those it retired.
 	EdgeWeightBounds() (lo, hi float64)
 	// InvAuthorityBounds returns covering (min, max) inverse-authority
 	// bounds over live experts (see EdgeWeightBounds for the covering
-	// contract), or (0, 0) when the graph is empty.
+	// contract, and for a population that is gone or never was).
 	InvAuthorityBounds() (lo, hi float64)
 
 	// ValidNode reports whether u is a node of this graph.

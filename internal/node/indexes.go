@@ -52,10 +52,6 @@ type indexSet struct {
 	store *live.Store
 	// repairBudget caps the delta length incremental repair accepts.
 	repairBudget int
-	// workers is the number of goroutines sharding each full 2-hop
-	// cover build (see pll.Options.Workers); repairs stay serial, they
-	// are already sub-millisecond.
-	workers int
 	// normalize is the node's fit setting, used to re-fit the epoch a
 	// persisted index was saved at.
 	normalize bool
@@ -85,7 +81,7 @@ type indexSet struct {
 	// is a nil-safe no-op, so the maintenance paths need no guards).
 	repairHist   *obs.HistogramVec // authteam_index_repair_seconds{kind}
 	repairVisits *obs.CounterVec   // authteam_index_repair_visits_total{kind}
-	rebuildHist  *obs.HistogramVec // authteam_index_rebuild_seconds{mode}
+	rebuildHist  *obs.Histogram    // authteam_index_rebuild_seconds
 }
 
 // indexEntry pairs a resident oracle with the snapshot it is exact
@@ -100,15 +96,11 @@ type indexEntry struct {
 	params *transform.Params
 }
 
-func newIndexSet(base string, store *live.Store, repairBudget, workers int, normalize bool, reg *obs.Registry) *indexSet {
-	if workers < 1 {
-		workers = 1
-	}
+func newIndexSet(base string, store *live.Store, repairBudget int, normalize bool, reg *obs.Registry) *indexSet {
 	s := &indexSet{
 		base:         base,
 		store:        store,
 		repairBudget: repairBudget,
-		workers:      workers,
 		normalize:    normalize,
 		entries:      make(map[string]*indexEntry),
 		building:     make(map[string]chan struct{}),
@@ -118,11 +110,8 @@ func newIndexSet(base string, store *live.Store, repairBudget, workers int, norm
 			"Incremental 2-hop cover repair duration by delta kind.", nil, "kind")
 		s.repairVisits = reg.CounterVec("authteam_index_repair_visits_total",
 			"Labels touched by incremental repairs, by delta kind.", "kind")
-		s.rebuildHist = reg.HistogramVec("authteam_index_rebuild_seconds",
-			"Full 2-hop cover build duration by build mode.", nil, "mode")
-		reg.GaugeFunc("authteam_index_rebuild_workers",
-			"Goroutines sharding each full 2-hop cover build.",
-			func() float64 { return float64(s.workers) })
+		s.rebuildHist = reg.Histogram("authteam_index_rebuild_seconds",
+			"Full 2-hop cover build duration.", nil)
 		reg.GaugeFunc("authteam_index_rebuild_queue_depth",
 			"Asynchronous index rebuilds currently in flight.",
 			func() float64 { return float64(s.pending.Load()) })
@@ -323,14 +312,7 @@ func (s *indexSet) forMethod(snap *live.Snapshot, p *transform.Params, m core.Me
 // per-read overhead throughout; queries keep reading the overlay and
 // never wait on this copy.
 func (s *indexSet) build(snap *live.Snapshot, p *transform.Params, m core.Method) *oracle.PLLOracle {
-	mode := "sequential"
-	if s.workers > 1 {
-		mode = "parallel"
-	}
-	if s.rebuildHist != nil {
-		start := time.Now()
-		defer func() { s.rebuildHist.With(mode).Observe(time.Since(start).Seconds()) }()
-	}
+	start := time.Now()
 	var weight oracle.WeightFunc
 	if m != core.CC {
 		weight = p.EdgeWeight()
@@ -342,21 +324,9 @@ func (s *indexSet) build(snap *live.Snapshot, p *transform.Params, m core.Method
 	// Mutations are validated before admission, so materialization
 	// cannot fail on a live store; falling back to the overlay view
 	// degrades a broken invariant to a slower build, not an outage.
-	tr := obs.NewTrace()
-	blocks, redone := 0, 0
-	ix := pll.BuildWithOptions(gv, pll.Options{
-		Weight:  weight,
-		Workers: s.workers,
-		OnBlock: func(lo, hi, blockRedone int, _ time.Duration) {
-			blocks++
-			redone += blockRedone
-			tr.Lap(fmt.Sprintf("ranks[%d,%d)", lo, hi))
-		},
-	})
-	slog.Debug("node: index build", "mode", mode, "workers", s.workers,
-		"total", tr.Total(), "block_count", blocks, "redone_ranks", redone,
-		"blocks", tr.Header())
-	return oracle.NewPLL(ix)
+	o := oracle.BuildPLL(gv, weight)
+	s.rebuildHist.Observe(time.Since(start).Seconds())
+	return o
 }
 
 // load reads a previously persisted index for key. The index is

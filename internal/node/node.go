@@ -57,8 +57,6 @@ type Config struct {
 	// RepairBudget caps the delta a resident cover is carried across by
 	// incremental repair (0 means unbounded, negative disables repair).
 	RepairBudget int
-	// Workers shards each full cover build (values below 1 mean 1).
-	Workers int
 	// IndexPath is the prefix built covers are persisted under
 	// (<IndexPath>.pll-<key>); empty disables persistence.
 	IndexPath string
@@ -122,7 +120,7 @@ func Open(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		store:      store,
-		indexes:    newIndexSet(cfg.IndexPath, store, cfg.RepairBudget, cfg.Workers, !cfg.NoNormalize, cfg.Metrics),
+		indexes:    newIndexSet(cfg.IndexPath, store, cfg.RepairBudget, !cfg.NoNormalize, cfg.Metrics),
 		normalize:  !cfg.NoNormalize,
 		followPoll: cfg.FollowPoll,
 		metrics:    cfg.Metrics,

@@ -55,7 +55,7 @@ func testGraph(t *testing.T, rng *rand.Rand, n int) *expertgraph.Graph {
 
 func openNode(t *testing.T, g *expertgraph.Graph) *Node {
 	t.Helper()
-	n, err := Open(Config{Graph: g, RepairBudget: 512, Workers: 2})
+	n, err := Open(Config{Graph: g, RepairBudget: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

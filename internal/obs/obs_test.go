@@ -186,12 +186,54 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"# TYPE h histogram\nh_bucket{le=\"1\"} 5\n",                          // missing +Inf
 		"# TYPE x counter\nx{a=b} 1\n",                                        // unquoted label
 		"# TYPE x wat\nx 1\n",                                                 // unknown type
+		// A family's samples must follow its own TYPE line, before the
+		// next family's: these two were once accepted with samples lost.
+		"# TYPE a counter\n# TYPE b counter\na 1\nb 2\n",
+		"# TYPE a counter\na 1\n# TYPE b counter\nb 2\n# TYPE c counter\na 5\n",
 	}
 	for _, in := range bad {
 		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
 			t.Errorf("ParseExposition accepted malformed input %q", in)
 		}
 	}
+}
+
+// FuzzParseExposition checks the parser on arbitrary text: it must not
+// panic, and whatever it accepts must come back whole, one Sample per
+// sample line.
+func FuzzParseExposition(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("fz_ops_total", "ops").Add(3)
+	r.Gauge("fz_log_len", "log length").Set(2.5)
+	hv := r.HistogramVec("fz_seconds", "latency", nil, "route")
+	hv.With("discover").Observe(0.004)
+	hv.With("batch").Observe(1.5)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b.String())
+	f.Add("# TYPE a counter\n# TYPE b counter\na 1\nb 2\n")
+	f.Add("# TYPE a counter\na 1\n# TYPE b counter\nb 2\n# TYPE c counter\na 5\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		fams, err := ParseExposition(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		lines := 0
+		for _, line := range strings.Split(in, "\n") {
+			if strings.TrimSpace(line) != "" && !strings.HasPrefix(line, "#") {
+				lines++
+			}
+		}
+		samples := 0
+		for _, fam := range fams {
+			samples += len(fam.Samples)
+		}
+		if samples != lines {
+			t.Fatalf("%d sample lines parsed into %d samples:\n%s", lines, samples, in)
+		}
+	})
 }
 
 func TestHistogramQuantile(t *testing.T) {

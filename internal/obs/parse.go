@@ -27,17 +27,19 @@ type Sample struct {
 
 // ParseExposition parses and validates Prometheus text exposition
 // format. It is strict where the round-trip tests need it to be:
-// every sample must belong to a family declared with # TYPE before
-// it, histogram series must carry the le label on _bucket samples,
-// bucket counts must be cumulative (non-decreasing with le), every
-// histogram series must end in a +Inf bucket equal to its _count, and
-// counter values must be non-negative. It exists so tests and smoke
-// checks can assert well-formedness without a Prometheus dependency.
+// every sample must belong to the family most recently declared with
+// # TYPE (a family's lines form one group, as the format requires and
+// Registry.WritePrometheus writes them), histogram series must carry
+// the le label on _bucket samples, bucket counts must be cumulative
+// (non-decreasing with le), every histogram series must end in a +Inf
+// bucket equal to its _count, and counter values must be
+// non-negative. It exists so tests and smoke checks can assert
+// well-formedness without a Prometheus dependency.
 func ParseExposition(r io.Reader) ([]Family, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	var fams []Family
-	byName := map[string]*Family{}
+	declared := map[string]bool{}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -56,11 +58,11 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 			default:
 				return nil, fmt.Errorf("line %d: unknown metric type %q", lineNo, parts[3])
 			}
-			if _, dup := byName[name]; dup {
+			if declared[name] {
 				return nil, fmt.Errorf("line %d: duplicate TYPE for %s", lineNo, name)
 			}
+			declared[name] = true
 			fams = append(fams, Family{Name: name, Type: typ})
-			byName[name] = &fams[len(fams)-1]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -70,10 +72,12 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		fam := familyFor(byName, s.Name)
-		if fam == nil {
+		if len(fams) == 0 {
 			return nil, fmt.Errorf("line %d: sample %s has no declared family", lineNo, s.Name)
 		}
+		// A sample belongs to the family declared last; checkSample
+		// rejects one whose name does not match it.
+		fam := &fams[len(fams)-1]
 		if err := checkSample(fam, s); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
@@ -90,24 +94,6 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 		}
 	}
 	return fams, nil
-}
-
-// familyFor matches a sample name to its declared family, handling
-// the histogram sample suffixes.
-func familyFor(byName map[string]*Family, sample string) *Family {
-	if f, ok := byName[sample]; ok {
-		return f
-	}
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		base, ok := strings.CutSuffix(sample, suf)
-		if !ok {
-			continue
-		}
-		if f, ok := byName[base]; ok && f.Type == TypeHistogram {
-			return f
-		}
-	}
-	return nil
 }
 
 func checkSample(fam *Family, s Sample) error {

@@ -126,13 +126,6 @@ func BuildPLL(g expertgraph.GraphView, weight WeightFunc) *PLLOracle {
 	return &PLLOracle{ix: ix}
 }
 
-// BuildPLLParallel is BuildPLL sharded over workers goroutines. The
-// resulting index is bit-identical to the sequential build.
-func BuildPLLParallel(g expertgraph.GraphView, weight WeightFunc, workers int) *PLLOracle {
-	ix := pll.BuildWithOptions(g, pll.Options{Weight: weight, Workers: workers})
-	return &PLLOracle{ix: ix}
-}
-
 // Dist implements Oracle.
 func (o *PLLOracle) Dist(u, v expertgraph.NodeID) float64 { return o.ix.Dist(u, v) }
 

@@ -22,13 +22,8 @@
 // Construction first copies the graph into a flat weighted adjacency
 // (CSR arrays with Options.Weight applied to every directed edge), so
 // the pruned Dijkstras relax arcs without calling back into the
-// GraphView or the weight function. It can shard over workers
-// (Options.Workers): landmarks are processed in rank blocks whose
-// pruned Dijkstras run concurrently against the committed lower-rank
-// labels, followed by a serial in-block filter that reproduces the
-// sequential prune decisions exactly, with block sizes that shrink
-// after a block whose ranks had to be redone and grow after a clean
-// one — see parallel.go. The frozen index stores labels packed
+// GraphView or the weight function, then runs one sequential sweep
+// over the landmarks. The frozen index stores labels packed
 // (delta-encoded varint hub ranks, kind-tagged distances), roughly
 // halving the cache footprint of the Dist hot path; see the encoding
 // notes on appendEntry.
@@ -40,7 +35,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"time"
 
 	"authteam/internal/expertgraph"
 )
@@ -109,17 +103,12 @@ type Options struct {
 	// allowing an index over the transformed graph G' (§3.2.2 of the
 	// paper) without materializing it. Nil means stored weights.
 	Weight func(u, v expertgraph.NodeID, w float64) float64
-	// Workers is the number of goroutines sharding the landmark sweep.
-	// Values ≤ 1 build sequentially. The parallel build produces an
-	// index bit-identical to the sequential one (same label sets, same
-	// stored distances); see parallel.go for the rank-block scheme.
+	// Workers is ignored; every build runs one sequential sweep.
+	//
+	// Deprecated: no build shards any more. The field remains only
+	// because the servebench module sets it, and goes with that
+	// module's next change.
 	Workers int
-	// OnBlock, if set, is called after each rank block [lo, hi) of the
-	// parallel build commits, with the number of the block's ranks
-	// that were contaminated and redone serially, and the block's
-	// wall-clock time. The sequential path reports a single block
-	// [0, n) with nothing redone.
-	OnBlock func(lo, hi, redone int, elapsed time.Duration)
 }
 
 // Build constructs the index for g with default options.
@@ -134,17 +123,10 @@ func BuildWithOptions(g expertgraph.GraphView, opt Options) *Index {
 	n := g.NumNodes()
 	nodeAt, rankOf := landmarkOrder(g, opt.Order)
 	adj := flatten(g, opt.Weight)
-	if opt.Workers > 1 && n > 1 {
-		return packIndex(parallelLabels(adj, nodeAt, opt), rankOf, nodeAt)
-	}
-	start := time.Now()
 	labels := make([][]labelEntry, n)
 	sc := newBuildScratch(n)
 	for r := 0; r < n; r++ {
 		prunedSweep(adj, labels, nodeAt[r], int32(r), sc)
-	}
-	if opt.OnBlock != nil {
-		opt.OnBlock(0, n, 0, time.Since(start))
 	}
 	return packIndex(labels, rankOf, nodeAt)
 }
@@ -207,36 +189,14 @@ func flatten(g expertgraph.GraphView, weight func(u, v expertgraph.NodeID, w flo
 	return a
 }
 
-// prunedSweep runs one landmark's pruned Dijkstra against the labels
-// committed so far (all ranks below r must be complete) and appends the
-// surviving settles to the labels. Both the sequential build and the
-// parallel build's contaminated-rank fallback commit through this
-// single function, and it searches with the same candidateSweep as the
-// parallel build's Phase A, so their per-rank semantics cannot drift
-// apart. Committing after the search is the same as committing at each
-// settle: the prune test of a node reads only that node's label (which
-// gains rank r only when the node itself settles) and the landmark's,
-// loaded before the search starts.
+// prunedSweep runs landmark lm's pruned Dijkstra over adj against the
+// labels committed so far (all ranks below r must be complete) and
+// appends (r, d) to the label of every node it settles unpruned.
+// Committing at the settle cannot change a later prune test: a node's
+// test reads its own label, which gains rank r only when the node
+// itself settles, and the landmark's hub distances, loaded before the
+// search starts.
 func prunedSweep(adj *adjacency, labels [][]labelEntry, lm expertgraph.NodeID, r int32, sc *buildScratch) {
-	sc.cands = candidateSweep(adj, labels, lm, sc, sc.cands[:0])
-	for _, cd := range sc.cands {
-		labels[cd.u] = append(labels[cd.u], labelEntry{rank: r, dist: cd.d})
-	}
-}
-
-// rankCandidate is one surviving settle of a landmark's pruned
-// Dijkstra, in settle (distance) order.
-type rankCandidate struct {
-	u expertgraph.NodeID
-	d float64
-}
-
-// candidateSweep runs one landmark's pruned Dijkstra over adj against
-// the committed labels and appends the surviving settles to out in
-// settle order. It only reads labels.
-func candidateSweep(adj *adjacency, labels [][]labelEntry, lm expertgraph.NodeID,
-	sc *buildScratch, out []rankCandidate) []rankCandidate {
-
 	// Load the landmark's current label into hubDist.
 	for _, e := range labels[lm] {
 		sc.hubDist[e.rank] = e.dist
@@ -264,7 +224,7 @@ func candidateSweep(adj *adjacency, labels [][]labelEntry, lm expertgraph.NodeID
 		if pruned {
 			continue
 		}
-		out = append(out, rankCandidate{u: u, d: du})
+		labels[u] = append(labels[u], labelEntry{rank: r, dist: du})
 		for i, end := adj.off[u], adj.off[u+1]; i < end; i++ {
 			v := adj.to[i]
 			if nd := du + adj.w[i]; nd < sc.dist[v] {
@@ -282,19 +242,16 @@ func candidateSweep(adj *adjacency, labels [][]labelEntry, lm expertgraph.NodeID
 	for _, e := range labels[lm] {
 		sc.hubDist[e.rank] = infinity
 	}
-	return out
 }
 
 // buildScratch is the per-sweep working set of one pruned Dijkstra:
-// tentative distances, visited flags, the landmark's hub distances, the
-// touched list that makes resets O(|touched|), and prunedSweep's
-// candidate buffer.
+// tentative distances, visited flags, the landmark's hub distances and
+// the touched list that makes resets O(|touched|).
 type buildScratch struct {
 	dist    []float64
 	visited []bool
 	hubDist []float64
 	touched []expertgraph.NodeID
-	cands   []rankCandidate
 	h       *pairHeap
 }
 

@@ -11,13 +11,13 @@ import (
 	"authteam/internal/expertgraph"
 )
 
-// TestConcurrentQueriesDuringParallelRebuild is the race soak for the
-// sharded index build: discover traffic keeps hammering the server
-// while out-of-bounds edge insertions force full async rebuilds that
-// run with Workers = 4, so the race shard sees real concurrent readers
-// (overlay views, Dijkstra fallback, cache) alongside the parallel
-// build workers for the build's whole lifetime.
-func TestConcurrentQueriesDuringParallelRebuild(t *testing.T) {
+// TestConcurrentQueriesDuringAsyncRebuild is the race soak for the
+// async index rebuild: discover traffic keeps hammering the server
+// while out-of-bounds edge insertions force full rebuilds off the
+// request path, so the race shard sees real concurrent readers
+// (overlay views, Dijkstra fallback, cache, and root scans sharded
+// over Workers = 4) alongside the rebuild for its whole lifetime.
+func TestConcurrentQueriesDuringAsyncRebuild(t *testing.T) {
 	c := dblp.Synthesize(dblp.SynthConfig{Seed: 5, Authors: 400})
 	g, _, err := dblp.BuildGraph(c, dblp.GraphOptions{LargestComponent: true})
 	if err != nil {
@@ -69,8 +69,8 @@ func TestConcurrentQueriesDuringParallelRebuild(t *testing.T) {
 
 	// Rebuild storm: each insertion's weight lies far outside the
 	// covering bounds, expanding them — the one delta class repair
-	// cannot absorb — so the next discover kicks an async parallel
-	// rebuild while the query goroutines keep reading.
+	// cannot absorb — so the next discover kicks an async rebuild
+	// while the query goroutines keep reading.
 	n := expertgraph.NodeID(g.NumNodes())
 	added := 0
 	for i := 0; added < 5 && int(i) < g.NumNodes()-60; i++ {

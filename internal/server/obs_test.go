@@ -98,7 +98,6 @@ func TestMetricsEndpointLeader(t *testing.T) {
 		"authteam_index_repair_seconds",
 		"authteam_index_rebuild_seconds",
 		"authteam_index_rebuild_queue_depth",
-		"authteam_index_rebuild_workers",
 		"authteam_index_repairs_total",
 		"authteam_index_rebuilds_total",
 		"authteam_cache_hits_total",

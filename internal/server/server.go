@@ -122,7 +122,8 @@ type Config struct {
 	// RequestTimeout bounds each discovery computation (default 30s).
 	RequestTimeout time.Duration
 	// Workers is the root-scan parallelism per discovery and the
-	// fan-out width of batch requests (default runtime.NumCPU()).
+	// fan-out width of batch requests (default runtime.NumCPU()). It
+	// does not touch 2-hop cover builds: each is one sequential sweep.
 	Workers int
 	// Gamma and Lambda are the defaults applied to requests that omit
 	// them. Nil means 0.6 (the paper's setting); pointers keep an
@@ -313,7 +314,6 @@ func New(cfg Config) (*Server, error) {
 		FollowURL:    cfg.FollowURL,
 		FollowPoll:   cfg.FollowPoll,
 		RepairBudget: cfg.RepairBudget,
-		Workers:      cfg.Workers,
 		IndexPath:    indexPath,
 		Metrics:      nodeReg,
 	})

@@ -263,7 +263,6 @@ func main() {
 		"authteam_index_repair_seconds",
 		"authteam_index_rebuild_seconds",
 		"authteam_index_rebuild_queue_depth",
-		"authteam_index_rebuild_workers",
 		"authteam_cache_hits_total",
 		// Cluster-role families are exported on every role so a
 		// dashboard can watch a node move through the state machine.
