@@ -161,7 +161,7 @@ type Options struct {
 	// records had to be replayed, keeping future replays O(recent
 	// churn). 0 disables the creation-time fold; CompactJournal folds
 	// on demand. With CompactInterval set it is also the background
-	// compactor's record trigger.
+	// compactor's record trigger (8192 records when 0).
 	CompactThreshold int
 	// CompactInterval starts a background compactor inside the client:
 	// at this (jittered) cadence it folds the journal and re-bases the
@@ -169,13 +169,6 @@ type Options struct {
 	// long-lived client's resident state stays O(churn since the last
 	// fold). 0 disables it. Requires Journal.
 	CompactInterval time.Duration
-	// CompactBytes is the background compactor's journal-size trigger
-	// (0 disables the byte trigger).
-	CompactBytes int64
-	// CommitBatch caps how many queued mutations the store's group
-	// committer covers with one journal write + epoch publish; ≤ 0
-	// keeps the default (256).
-	CommitBatch int
 	// Follow turns the client into a read replica of the team discovery
 	// server at this base URL (e.g. "http://leader:7411"): the local
 	// store is bootstrapped and kept current from the leader's
@@ -234,13 +227,10 @@ func New(g *Graph, opt Options) (*Client, error) {
 		Graph:            g,
 		JournalPath:      opt.Journal,
 		CompactThreshold: opt.CompactThreshold,
-		CommitBatch:      opt.CommitBatch,
 		CompactInterval:  opt.CompactInterval,
-		CompactBytes:     opt.CompactBytes,
 		FollowURL:        opt.Follow,
 		FollowPoll:       opt.FollowPoll,
 		NoNormalize:      opt.NoNormalize,
-		RepairBudget:     512,
 		Metrics:          opt.Metrics,
 	})
 	if err != nil {
@@ -350,8 +340,8 @@ func (c *Client) Compactions() uint64 { return c.node.Store().Compactions() }
 func (c *Client) LogLen() int { return c.node.Store().LogLen() }
 
 // Close stops the replication follower and background compactor (if
-// any) and releases the mutation journal. Queries keep working;
-// further mutations fail with ErrClosed.
+// any), waits for background index rebuilds and releases the mutation
+// journal. Queries keep working; further mutations fail with ErrClosed.
 func (c *Client) Close() error { return c.node.Close() }
 
 // WaitEpoch blocks until the client's store has reached at least the

@@ -195,18 +195,14 @@ func runServe(args []string) {
 		cold      = fs.Bool("cold", false, "skip warming the default-γ index at startup")
 		journal   = fs.String("journal", "", "write-ahead mutation journal; replayed onto the graph at boot (empty disables live-mutation durability)")
 		jsync     = fs.Bool("journal-sync", false, "fsync the journal after every mutation")
-		budget    = fs.Int("repair-budget", 0, "max delta mutations absorbed by incremental index repair before a full rebuild (0 = default 512, negative disables)")
 		compactAt = fs.Int("compact-threshold", 0, "fold the journal when it holds at least this many records — at boot, and (with -compact-interval) while serving (0 disables the boot fold; the background compactor then defaults to 8192 records)")
 		compactIv = fs.Duration("compact-interval", 0, "background compactor poll cadence: fold the journal and re-base in memory while serving, without a restart (0 disables)")
-		compactBy = fs.Int64("compact-bytes", 0, "also fold while serving when the journal file reaches this many bytes (0 disables the byte trigger)")
 		follow    = fs.String("follow", "", "serve as a read replica of the leader at this base URL (e.g. http://leader:7411): bootstrap and stay current from its replication log, redirect mutations to it")
 		followIv  = fs.Duration("follow-poll", 0, "replication long-poll bound (0 = default 25s)")
 		minWait   = fs.Duration("min-epoch-wait", 0, "max time a read carrying X-Authteam-Min-Epoch blocks for replication before redirecting/failing (0 = default 5s)")
-		commitBat = fs.Int("commit-batch", 0, "max mutations per group commit — one journal write + one epoch publish per batch (0 = default 256)")
 		debugAddr = fs.String("debug-addr", "", "private debug listener for pprof and /metrics (e.g. localhost:7511; empty disables)")
 		logFormat = fs.String("log-format", "text", "structured log format: text | json")
 		readyLagE = fs.Int64("ready-lag-epochs", 0, "follower /readyz turns 503 past this many epochs of replication lag (0 = default 4096, negative disables)")
-		readyLag  = fs.Duration("ready-lag", 0, "follower /readyz turns 503 after this long without confirmed catch-up (0 = default 60s, negative disables)")
 		slowQuery = fs.Duration("slow-query", 0, "log discoveries slower than this, rate-limited to one line per second (0 disables)")
 		noObserve = fs.Bool("no-observe", false, "disable tracing and the latency/maintenance instruments (the /stats counters keep working)")
 	)
@@ -233,17 +229,13 @@ func runServe(args []string) {
 		WarmIndex:          !*cold,
 		JournalPath:        *journal,
 		JournalSync:        *jsync,
-		RepairBudget:       *budget,
 		CompactThreshold:   *compactAt,
 		CompactInterval:    *compactIv,
-		CompactBytes:       *compactBy,
 		FollowURL:          *follow,
 		FollowPoll:         *followIv,
 		MinEpochWait:       *minWait,
-		CommitBatch:        *commitBat,
 		DebugAddr:          *debugAddr,
 		ReadyMaxLagEpochs:  *readyLagE,
-		ReadyMaxLag:        *readyLag,
 		SlowQueryThreshold: *slowQuery,
 		NoObserve:          *noObserve,
 	})

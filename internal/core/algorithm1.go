@@ -65,14 +65,13 @@ var (
 // reconstruction workspace carry scratch state); create one per
 // goroutine.
 type Discoverer struct {
-	params   *transform.Params
-	method   Method
-	g        expertgraph.GraphView
-	dist     oracle.Oracle
-	ws       *expertgraph.DijkstraWorkspace
-	weight   oracle.WeightFunc // search weights; nil = raw (CC)
-	roots    []expertgraph.NodeID
-	eligible func(expertgraph.NodeID) bool // nil = everyone
+	params *transform.Params
+	method Method
+	g      expertgraph.GraphView
+	dist   oracle.Oracle
+	ws     *expertgraph.DijkstraWorkspace
+	weight oracle.WeightFunc // search weights; nil = raw (CC)
+	roots  []expertgraph.NodeID
 }
 
 // Option configures a Discoverer.
@@ -87,27 +86,10 @@ func WithOracle(o oracle.Oracle) Option {
 	return func(d *Discoverer) { d.dist = o }
 }
 
-// WithPLL builds a 2-hop cover index over the search weights at
-// construction time instead of using per-root Dijkstra.
-func WithPLL() Option {
-	return func(d *Discoverer) { d.dist = oracle.BuildPLL(d.g, d.weight) }
-}
-
 // WithRoots restricts the candidate roots of line 3 of Algorithm 1.
 // Useful for parallel sharding and for experiments.
 func WithRoots(roots []expertgraph.NodeID) Option {
 	return func(d *Discoverer) { d.roots = roots }
-}
-
-// WithEligibility restricts team membership: experts for which
-// eligible returns false are used neither as skill holders nor as
-// roots. This models availability windows, personnel budgets (the
-// "affordable teams" extension of the authors' SDM'13 work) or
-// exclusion lists. Connectors on shortest paths are not filtered —
-// excluding them would require constrained path search; callers
-// needing hard exclusion should drop the nodes via Subgraph instead.
-func WithEligibility(eligible func(expertgraph.NodeID) bool) Option {
-	return func(d *Discoverer) { d.eligible = eligible }
 }
 
 // NewDiscoverer creates a Discoverer for the given parameterization and
@@ -225,9 +207,6 @@ func (d *Discoverer) topK(project []expertgraph.SkillID, k int) ([]rankedTeam, e
 	experts := make([][]expertgraph.NodeID, len(project))
 	for i, s := range project {
 		experts[i] = d.g.ExpertsWithSkill(s)
-		if d.eligible != nil {
-			experts[i] = filterNodes(experts[i], d.eligible)
-		}
 		if len(experts[i]) == 0 {
 			return nil, fmt.Errorf("%w: %q", ErrNoExpert, d.g.SkillName(s))
 		}
@@ -236,12 +215,6 @@ func (d *Discoverer) topK(project []expertgraph.SkillID, k int) ([]rankedTeam, e
 	roots := d.roots
 	if roots == nil {
 		roots = allNodes(d.g)
-	}
-	if d.eligible != nil {
-		roots = filterNodes(roots, d.eligible)
-		if len(roots) == 0 {
-			return nil, ErrNoTeam
-		}
 	}
 
 	// One probe per scan: a PLL oracle's probe decodes each holder's
@@ -369,14 +342,4 @@ func allNodes(g expertgraph.GraphView) []expertgraph.NodeID {
 		nodes[i] = expertgraph.NodeID(i)
 	}
 	return nodes
-}
-
-func filterNodes(in []expertgraph.NodeID, keep func(expertgraph.NodeID) bool) []expertgraph.NodeID {
-	out := make([]expertgraph.NodeID, 0, len(in))
-	for _, u := range in {
-		if keep(u) {
-			out = append(out, u)
-		}
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"authteam/internal/expertgraph"
+	"authteam/internal/oracle"
 	"authteam/internal/team"
 	"authteam/internal/transform"
 )
@@ -249,8 +250,12 @@ func TestPLLMatchesDijkstraSearch(t *testing.T) {
 	g, project := randomSkillGraph(rng, 60, 100, 3, 5)
 	p := fitOrDie(t, g, 0.6, 0.4)
 	for _, m := range []Method{CC, CACC, SACACC} {
+		var weight oracle.WeightFunc
+		if m != CC {
+			weight = p.EdgeWeight()
+		}
 		dj := NewDiscoverer(p, m)
-		pl := NewDiscoverer(p, m, WithPLL())
+		pl := NewDiscoverer(p, m, WithOracle(oracle.BuildPLL(g, weight)))
 		t1, err1 := dj.TopK(project, 3)
 		t2, err2 := pl.TopK(project, 3)
 		if (err1 == nil) != (err2 == nil) {
@@ -283,56 +288,6 @@ func TestWithRoots(t *testing.T) {
 	}
 	if tm.Root != 2 {
 		t.Errorf("Root = %d, want 2", tm.Root)
-	}
-}
-
-func TestWithEligibility(t *testing.T) {
-	g, project := gridGraph(t)
-	p := fitOrDie(t, g, 0.6, 0.6)
-	// Exclude s0 (node 0): db's only other holder does not exist, so
-	// discovery must fail.
-	d := NewDiscoverer(p, CC, WithEligibility(func(u expertgraph.NodeID) bool {
-		return u != 0
-	}))
-	if _, err := d.BestTeam(project); !errors.Is(err, ErrNoExpert) {
-		t.Errorf("excluding the only db holder: %v, want ErrNoExpert", err)
-	}
-	// Excluding a non-holder keeps the query feasible; the excluded
-	// node cannot be a root or holder.
-	d2 := NewDiscoverer(p, CC, WithEligibility(func(u expertgraph.NodeID) bool {
-		return u != 2
-	}))
-	tm, err := d2.BestTeam(project)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, holder := range tm.Assignment {
-		if holder == 2 {
-			t.Errorf("ineligible node assigned skill %d", s)
-		}
-	}
-}
-
-func TestWithEligibilityAuthorityCap(t *testing.T) {
-	// A budget-style filter: only experts with authority ≤ 5 may be
-	// staffed (holders); the search still finds a team among juniors.
-	rng := rand.New(rand.NewSource(31))
-	g, project := randomSkillGraph(rng, 50, 80, 3, 3)
-	p := fitOrDie(t, g, 0.6, 0.6)
-	d := NewDiscoverer(p, SACACC, WithEligibility(func(u expertgraph.NodeID) bool {
-		return g.Authority(u) <= 5
-	}))
-	tm, err := d.BestTeam(project)
-	if errors.Is(err, ErrNoTeam) || errors.Is(err, ErrNoExpert) {
-		t.Skip("no affordable team on this instance")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range tm.Holders() {
-		if g.Authority(h) > 5 {
-			t.Errorf("holder %d exceeds the authority cap", h)
-		}
 	}
 }
 

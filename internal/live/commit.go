@@ -20,9 +20,8 @@ import (
 // stays strictly per-op), so replication tailing, SnapshotAt,
 // MutationsSince and epoch read-your-writes are oblivious to batching.
 
-// defaultCommitBatch caps ops per group commit (Config.CommitBatch
-// overrides it).
-const defaultCommitBatch = 256
+// commitBatchCap caps ops per group commit.
+const commitBatchCap = 256
 
 // maxChainDepth is the overlay chain's refold guard: a batch whose
 // parent view already sits at this depth gets a fold of the resident
@@ -32,8 +31,8 @@ const defaultCommitBatch = 256
 const maxChainDepth = 16
 
 // commitBatchBuckets sizes the batch-occupancy histogram: powers of
-// two up to the default batch cap.
-var commitBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+// two up to commitBatchCap.
+var commitBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // applyReq is one mutation in flight through the commit pipeline.
 type applyReq struct {
@@ -71,13 +70,13 @@ func (s *Store) committer() {
 	}
 }
 
-// collectBatch gathers up to commitBatchMax ops: first plus everything
+// collectBatch gathers up to commitBatchCap ops: first plus everything
 // already queued behind it. Batching comes only from arrival
 // concurrency — ops that queued while the previous commit was in
 // flight — so a lone mutation never waits for company.
 func (s *Store) collectBatch(first *applyReq) []*applyReq {
-	batch := append(make([]*applyReq, 0, min(s.commitBatchMax, 16)), first)
-	for len(batch) < s.commitBatchMax {
+	batch := append(make([]*applyReq, 0, 16), first)
+	for len(batch) < commitBatchCap {
 		select {
 		case req, ok := <-s.applyCh:
 			if !ok {
@@ -211,9 +210,7 @@ func (s *Store) commitBatch(batch []*applyReq) {
 		// fold trigger — a non-blocking watermark signal, so folds
 		// start promptly under write bursts without a tight poll
 		// interval.
-		if s.wmCh != nil &&
-			((s.wmRecords > 0 && s.journal.records >= s.wmRecords) ||
-				(s.wmBytes > 0 && s.journal.bytes >= s.wmBytes)) {
+		if s.wmCh != nil && s.journal.records >= s.wmRecords {
 			select {
 			case s.wmCh <- struct{}{}:
 			default:

@@ -17,9 +17,9 @@ import (
 // rates does not fold in lockstep, and folds are single-flight: the
 // store's compactMu serializes the loop with any manual Compact call.
 // The poll is only the fallback cadence: Apply nudges a watermark
-// channel the moment a journal append crosses a trigger, so write
-// bursts fold promptly instead of overshooting the byte/record bound
-// until the next poll tick.
+// channel the moment a journal append crosses the trigger, so write
+// bursts fold promptly instead of overshooting the record bound until
+// the next poll tick.
 
 // CompactorConfig parameterizes StartCompactor.
 type CompactorConfig struct {
@@ -29,12 +29,8 @@ type CompactorConfig struct {
 	// MinRecords triggers a fold when the journal holds at least this
 	// many records (the journal is truncated to the post-fold suffix at
 	// every fold, so its record count is exactly the churn since the
-	// last fold). Defaults to 8192 when MaxBytes is also unset; 0 with
-	// MaxBytes set disables the record trigger.
+	// last fold). Defaults to 8192.
 	MinRecords uint64
-	// MaxBytes triggers a fold when the journal file reaches this many
-	// bytes. 0 disables the byte trigger.
-	MaxBytes int64
 	// OnFold, when non-nil, observes every fold attempt (stats are
 	// meaningful only when err is nil). Called from the compactor
 	// goroutine; keep it fast.
@@ -42,7 +38,7 @@ type CompactorConfig struct {
 }
 
 // defaultCompactorRecords is the record trigger applied when a
-// compactor is started with neither threshold configured.
+// compactor is started without one.
 const defaultCompactorRecords = 8192
 
 // Compactor runs Compact in the background. Create with
@@ -96,7 +92,7 @@ func (s *Store) StartCompactor(cfg CompactorConfig) (*Compactor, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 30 * time.Second
 	}
-	if cfg.MinRecords == 0 && cfg.MaxBytes == 0 {
+	if cfg.MinRecords == 0 {
 		cfg.MinRecords = defaultCompactorRecords
 	}
 	c := &Compactor{
@@ -107,11 +103,11 @@ func (s *Store) StartCompactor(cfg CompactorConfig) (*Compactor, error) {
 		wake:  make(chan struct{}, 1),
 	}
 	// Register the watermark with the store: Apply signals the channel
-	// the moment a journal append crosses either trigger, so the loop
+	// the moment a journal append crosses the trigger, so the loop
 	// folds promptly under bursts; the jittered poll remains as the
 	// fallback (and as the only trigger for pre-watermark deployments
 	// writing through replay).
-	s.setWatermark(c.wake, cfg.MinRecords, cfg.MaxBytes)
+	s.setWatermark(c.wake, cfg.MinRecords)
 	go c.loop()
 	return c, nil
 }
@@ -150,11 +146,8 @@ func (c *Compactor) loop() {
 // due reports whether the journal accumulated enough since the last
 // fold to be worth folding again.
 func (c *Compactor) due() bool {
-	records, bytes := c.store.JournalStats()
-	if c.cfg.MinRecords > 0 && records >= c.cfg.MinRecords {
-		return true
-	}
-	return c.cfg.MaxBytes > 0 && bytes >= c.cfg.MaxBytes
+	records, _ := c.store.JournalStats()
+	return records >= c.cfg.MinRecords
 }
 
 func (c *Compactor) fold() {
@@ -182,7 +175,7 @@ func jitter(rng *rand.Rand, d time.Duration) time.Duration {
 // idempotent and safe to call concurrently.
 func (c *Compactor) Stop() {
 	c.stopOnce.Do(func() {
-		c.store.setWatermark(nil, 0, 0)
+		c.store.setWatermark(nil, 0)
 		close(c.stop)
 	})
 	<-c.done

@@ -282,25 +282,21 @@ func (ss storeSource) Base(context.Context) (*expertgraph.Graph, uint64, uint64,
 type FollowerConfig struct {
 	// PollTimeout bounds each tail long-poll (default 25s).
 	PollTimeout time.Duration
-	// Backoff is the initial retry delay after a source error; it
-	// doubles per consecutive failure up to 32×. Default 500ms.
-	Backoff time.Duration
-	// MaxBatch caps the records requested per tail call (default 4096).
-	MaxBatch int
 }
 
 func (c FollowerConfig) withDefaults() FollowerConfig {
 	if c.PollTimeout <= 0 {
 		c.PollTimeout = 25 * time.Second
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = 500 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
 	return c
 }
+
+// followerBackoff is the follower's initial retry delay after a source
+// error; it doubles per consecutive failure up to 32×.
+const followerBackoff = 500 * time.Millisecond
+
+// followerTailBatch caps the records a follower requests per tail call.
+const followerTailBatch = 4096
 
 // FollowerStats is the replication section a follower reports.
 type FollowerStats struct {
@@ -441,7 +437,7 @@ func (f *Follower) sleep(d time.Duration) {
 
 func (f *Follower) loop(ctx context.Context) {
 	defer close(f.done)
-	backoff := f.cfg.Backoff
+	backoff := followerBackoff
 	// Bootstrap: a fresh store (epoch 0, no nodes) first adopts the
 	// source's base wholesale. Tailing from epoch 0 would replay records
 	// that apply on top of the source's base graph — which an empty
@@ -466,11 +462,11 @@ func (f *Follower) loop(ctx context.Context) {
 				f.errs.Add(1)
 				f.setErr(err)
 				f.sleep(backoff)
-				backoff = min(2*backoff, 32*f.cfg.Backoff)
+				backoff = min(2*backoff, 32*followerBackoff)
 				continue
 			}
 			f.setErr(nil)
-			backoff = f.cfg.Backoff
+			backoff = followerBackoff
 			break
 		}
 	}
@@ -482,7 +478,7 @@ func (f *Follower) loop(ctx context.Context) {
 		}
 		from := f.store.Epoch()
 		pollCtx, cancel := context.WithTimeout(ctx, f.cfg.PollTimeout)
-		muts, leaderEpoch, err := f.src.Tail(pollCtx, from, f.cfg.MaxBatch)
+		muts, leaderEpoch, err := f.src.Tail(pollCtx, from, followerTailBatch)
 		cancel()
 		f.polls.Add(1)
 		if leaderEpoch > 0 {
@@ -543,11 +539,11 @@ func (f *Follower) loop(ctx context.Context) {
 				f.errs.Add(1)
 				f.setErr(aerr)
 				f.sleep(backoff)
-				backoff = min(2*backoff, 32*f.cfg.Backoff)
+				backoff = min(2*backoff, 32*followerBackoff)
 				continue
 			}
 			f.setErr(nil)
-			backoff = f.cfg.Backoff
+			backoff = followerBackoff
 		case err != nil && ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
 			f.errs.Add(1)
 			f.setErr(err)
@@ -556,10 +552,10 @@ func (f *Follower) loop(ctx context.Context) {
 			// confirmed catch-up.
 			f.caughtUp.Store(false)
 			f.sleep(backoff)
-			backoff = min(2*backoff, 32*f.cfg.Backoff)
+			backoff = min(2*backoff, 32*followerBackoff)
 		case err == nil:
 			f.setErr(nil)
-			backoff = f.cfg.Backoff
+			backoff = followerBackoff
 			if f.store.Epoch() >= leaderEpoch {
 				f.caughtUpNS.Store(time.Now().UnixNano())
 				f.caughtUp.Store(true)

@@ -142,11 +142,6 @@ type Config struct {
 	// records, keeping boot replay O(recent churn). 0 disables
 	// auto-compaction (Compact can still be called explicitly).
 	CompactThreshold int
-	// CommitBatch caps how many queued mutations one group commit may
-	// cover: one journal record group (one write, one fsync under
-	// Sync) and one published epoch per batch. ≤ 0 means the default
-	// (256).
-	CommitBatch int
 	// Metrics registers the store's instruments — apply latency,
 	// journal append (+fsync) duration, fold duration, overlay-build
 	// time, resident log length and epoch gauges — on the given
@@ -208,26 +203,24 @@ type Store struct {
 	removedNodes map[expertgraph.NodeID]struct{}
 
 	// watermark is the background compactor's early-fold signal: when a
-	// journal append crosses the registered record/byte trigger, apply
+	// journal append crosses the registered record trigger, apply
 	// nudges wmCh (non-blocking) so folds start promptly under write
 	// bursts instead of waiting out the poll interval. Registered and
 	// cleared under mu by the compactor.
 	wmCh      chan struct{}
 	wmRecords uint64
-	wmBytes   int64
 
 	// Group-commit plumbing. Mutators enqueue onto applyCh and block on
 	// a per-op future; the committer goroutine (started by Open) drains
-	// the channel in batches of up to commitBatchMax ops. closing gates
+	// the channel in batches of up to commitBatchCap ops. closing gates
 	// new senders during Close; senders counts mutators between the
 	// gate check and their channel send, so Close knows when applyCh
 	// can safely be closed. committerDone is closed when the committer
 	// has drained everything and exited.
-	applyCh        chan *applyReq
-	closing        atomic.Bool
-	senders        atomic.Int64
-	committerDone  chan struct{}
-	commitBatchMax int
+	applyCh       chan *applyReq
+	closing       atomic.Bool
+	senders       atomic.Int64
+	committerDone chan struct{}
 
 	// Cluster term state (promote.go): the persisted fencing token,
 	// the epoch its lineage began at, and the demotion fence. Written
@@ -321,12 +314,8 @@ func edgeKey(u, v expertgraph.NodeID) uint64 {
 // compaction) no matter how old the deployment is.
 func Open(base *expertgraph.Graph, cfg Config) (*Store, error) {
 	s := &Store{
-		base:           base,
-		journalPath:    cfg.JournalPath,
-		commitBatchMax: cfg.CommitBatch,
-	}
-	if s.commitBatchMax <= 0 {
-		s.commitBatchMax = defaultCommitBatch
+		base:        base,
+		journalPath: cfg.JournalPath,
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.applyHist = reg.Histogram("authteam_live_apply_seconds",
@@ -465,7 +454,7 @@ func Open(base *expertgraph.Graph, cfg Config) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.applyCh = make(chan *applyReq, s.commitBatchMax)
+	s.applyCh = make(chan *applyReq, commitBatchCap)
 	s.committerDone = make(chan struct{})
 	go s.committer()
 	return s, nil
@@ -671,12 +660,12 @@ func (s *Store) isRemoved(id expertgraph.NodeID) bool {
 }
 
 // setWatermark registers (or, with a nil channel, clears) the
-// background compactor's journal-size triggers; apply nudges ch
-// non-blockingly whenever an append crosses them.
-func (s *Store) setWatermark(ch chan struct{}, records uint64, bytes int64) {
+// background compactor's journal record trigger; apply nudges ch
+// non-blockingly whenever an append crosses it.
+func (s *Store) setWatermark(ch chan struct{}, records uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.wmCh, s.wmRecords, s.wmBytes = ch, records, bytes
+	s.wmCh, s.wmRecords = ch, records
 }
 
 // JournalStats reports the journal's record count and byte size, both

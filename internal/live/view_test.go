@@ -10,6 +10,7 @@ import (
 
 	"authteam/internal/core"
 	"authteam/internal/expertgraph"
+	"authteam/internal/oracle"
 	"authteam/internal/team"
 	"authteam/internal/transform"
 )
@@ -333,7 +334,7 @@ func TestOverlayDifferential(t *testing.T) {
 			// One PLL-backed run per checkpoint exercises index
 			// construction over the overlay too.
 			if m == core.SACACC {
-				teams, err := core.NewDiscoverer(p, m, core.WithPLL()).TopK(project, 3)
+				teams, err := core.NewDiscoverer(p, m, core.WithOracle(oracle.BuildPLL(g, p.EdgeWeight()))).TopK(project, 3)
 				record("sa-ca-cc-pll", teams, err)
 			}
 		}

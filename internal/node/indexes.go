@@ -22,6 +22,10 @@ import (
 	"authteam/internal/transform"
 )
 
+// repairBudget caps the delta, in mutations, that incremental repair
+// carries a cover across; a longer delta rebuilds it in the background.
+const repairBudget = 512
+
 // maxResidentIndexes bounds the number of distinct 2-hop covers kept in
 // memory. CC traffic shares one raw-weight index; CA-CC and SA-CA-CC
 // traffic shares one index per γ (λ only shifts holder costs, not edge
@@ -50,8 +54,6 @@ type indexSet struct {
 	// thawed against the store's reconstructed epoch-E snapshot and
 	// repaired forward to the serving epoch.
 	store *live.Store
-	// repairBudget caps the delta length incremental repair accepts.
-	repairBudget int
 	// normalize is the node's fit setting, used to re-fit the epoch a
 	// persisted index was saved at.
 	normalize bool
@@ -63,6 +65,10 @@ type indexSet struct {
 	// with nil; requests finding a latch and no entry (cold start)
 	// wait, preserving the original build-once behavior.
 	building map[string]chan struct{}
+	// closed (under mu) stops new background rebuilds; rebuildWG counts
+	// the running ones, so close can wait for them.
+	closed    bool
+	rebuildWG sync.WaitGroup
 
 	pending  atomic.Int32  // in-flight async rebuilds
 	repairs  atomic.Uint64 // incremental repairs applied
@@ -96,14 +102,13 @@ type indexEntry struct {
 	params *transform.Params
 }
 
-func newIndexSet(base string, store *live.Store, repairBudget int, normalize bool, reg *obs.Registry) *indexSet {
+func newIndexSet(base string, store *live.Store, normalize bool, reg *obs.Registry) *indexSet {
 	s := &indexSet{
-		base:         base,
-		store:        store,
-		repairBudget: repairBudget,
-		normalize:    normalize,
-		entries:      make(map[string]*indexEntry),
-		building:     make(map[string]chan struct{}),
+		base:      base,
+		store:     store,
+		normalize: normalize,
+		entries:   make(map[string]*indexEntry),
+		building:  make(map[string]chan struct{}),
 	}
 	if reg != nil {
 		s.repairHist = reg.HistogramVec("authteam_index_repair_seconds",
@@ -280,22 +285,29 @@ func (s *indexSet) forMethod(snap *live.Snapshot, p *transform.Params, m core.Me
 			oldWeight = stale.params.EdgeWeight()
 		}
 	}
-	if s.repairBudget >= 0 {
-		rstart := time.Now()
-		if ix, rs, ok := live.MaintainIndex(stale.oracle.Index(), stale.snap, snap, weight, oldWeight, s.repairBudget); ok {
-			o := oracle.NewPLL(ix)
-			s.countRepair(rs, time.Since(rstart))
-			install(&indexEntry{oracle: o, snap: snap, params: entryParams})
-			return o
-		}
+	rstart := time.Now()
+	if ix, rs, ok := live.MaintainIndex(stale.oracle.Index(), stale.snap, snap, weight, oldWeight, repairBudget); ok {
+		o := oracle.NewPLL(ix)
+		s.countRepair(rs, time.Since(rstart))
+		install(&indexEntry{oracle: o, snap: snap, params: entryParams})
+		return o
 	}
 
 	// Not repairable (normalization shift, adoption, or past the
 	// staleness budget): rebuild off the request path and serve this
 	// query — and every query until the build lands — with exact
-	// per-root Dijkstra.
+	// per-root Dijkstra. A closed set starts no rebuild.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		install(nil)
+		return nil
+	}
+	s.rebuildWG.Add(1)
+	s.mu.Unlock()
 	s.pending.Add(1)
 	go func() {
+		defer s.rebuildWG.Done()
 		defer s.pending.Add(-1)
 		o := s.build(snap, p, m)
 		s.rebuilds.Add(1)
@@ -303,6 +315,14 @@ func (s *indexSet) forMethod(snap *live.Snapshot, p *transform.Params, m core.Me
 		install(&indexEntry{oracle: o, snap: snap, params: entryParams})
 	}()
 	return nil
+}
+
+// close stops new background rebuilds and waits for the running ones.
+func (s *indexSet) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.rebuildWG.Wait()
 }
 
 // build constructs a fresh 2-hop cover for method m at snap. A full
@@ -373,7 +393,7 @@ func (s *indexSet) load(key string, snap *live.Snapshot, p *transform.Params, m 
 			}
 		}
 		rstart := time.Now()
-		repaired, rs, ok := live.MaintainIndex(ix, from, snap, weight, oldWeight, s.repairBudget)
+		repaired, rs, ok := live.MaintainIndex(ix, from, snap, weight, oldWeight, repairBudget)
 		if !ok {
 			slog.Warn("node: ignoring index with unrepairable delta",
 				"path", path, "saved_epoch", savedEpoch, "store_epoch", snap.Epoch())

@@ -36,17 +36,15 @@ type Config struct {
 	// Graph is the starting network; nil starts empty (a follower that
 	// bootstraps over the wire).
 	Graph *expertgraph.Graph
-	// JournalPath, JournalSync, CompactThreshold and CommitBatch
-	// configure the store (see live.Config).
+	// JournalPath, JournalSync and CompactThreshold configure the store
+	// (see live.Config).
 	JournalPath      string
 	JournalSync      bool
 	CompactThreshold int
-	CommitBatch      int
 	// CompactInterval starts the background compactor (0 disables it;
-	// it requires JournalPath). CompactThreshold and CompactBytes are
-	// its triggers, and OnFold, when set, observes every fold.
+	// it requires JournalPath). CompactThreshold is its record trigger,
+	// and OnFold, when set, observes every fold.
 	CompactInterval time.Duration
-	CompactBytes    int64
 	OnFold          func(live.CompactStats, time.Duration, error)
 	// FollowURL makes the node a read replica of the leader at this
 	// base URL; FollowPoll bounds one replication long-poll.
@@ -54,9 +52,6 @@ type Config struct {
 	FollowPoll time.Duration
 	// NoNormalize fits without the min–max normalization of Definition 4.
 	NoNormalize bool
-	// RepairBudget caps the delta a resident cover is carried across by
-	// incremental repair (0 means unbounded, negative disables repair).
-	RepairBudget int
 	// IndexPath is the prefix built covers are persisted under
 	// (<IndexPath>.pll-<key>); empty disables persistence.
 	IndexPath string
@@ -112,7 +107,6 @@ func Open(cfg Config) (*Node, error) {
 		JournalPath:      cfg.JournalPath,
 		Sync:             cfg.JournalSync,
 		CompactThreshold: cfg.CompactThreshold,
-		CommitBatch:      cfg.CommitBatch,
 		Metrics:          cfg.Metrics,
 	})
 	if err != nil {
@@ -120,7 +114,7 @@ func Open(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		store:      store,
-		indexes:    newIndexSet(cfg.IndexPath, store, cfg.RepairBudget, !cfg.NoNormalize, cfg.Metrics),
+		indexes:    newIndexSet(cfg.IndexPath, store, !cfg.NoNormalize, cfg.Metrics),
 		normalize:  !cfg.NoNormalize,
 		followPoll: cfg.FollowPoll,
 		metrics:    cfg.Metrics,
@@ -130,7 +124,6 @@ func Open(cfg Config) (*Node, error) {
 		n.compactor, err = store.StartCompactor(live.CompactorConfig{
 			Interval:   cfg.CompactInterval,
 			MinRecords: uint64(max(cfg.CompactThreshold, 0)),
-			MaxBytes:   cfg.CompactBytes,
 			OnFold:     cfg.OnFold,
 		})
 		if err != nil {
@@ -286,9 +279,12 @@ func (n *Node) Refollow(url string) {
 }
 
 // Close stops the replication follower and background compactor (if
-// any) and releases the journal. Reads keep working; further mutations
-// fail with live.ErrClosed. The follower stops first — its apply loop
-// writes through the store the other two steps shut down.
+// any), waits for background cover rebuilds, and releases the journal.
+// Once it returns no background rebuild runs or writes a cover, and none
+// starts: reads keep working, with per-root Dijkstra where a cover is
+// stale. Further mutations fail with live.ErrClosed. The follower stops
+// first — its apply loop writes through the store the later steps shut
+// down.
 func (n *Node) Close() error {
 	n.followMu.Lock()
 	n.closed = true
@@ -300,5 +296,6 @@ func (n *Node) Close() error {
 	if n.compactor != nil {
 		n.compactor.Stop()
 	}
+	n.indexes.close()
 	return n.store.Close()
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,7 +56,7 @@ func testGraph(t *testing.T, rng *rand.Rand, n int) *expertgraph.Graph {
 
 func openNode(t *testing.T, g *expertgraph.Graph) *Node {
 	t.Helper()
-	n, err := Open(Config{Graph: g, RepairBudget: 512})
+	n, err := Open(Config{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +276,97 @@ func TestConcurrentIndexLookupsAcrossRebuilds(t *testing.T) {
 	}
 	if st := n.IndexStats(); st.IncrementalRepairs == 0 || st.FullRebuilds <= 2 {
 		t.Fatalf("maintenance counters %+v: want both repairs and background rebuilds", st)
+	}
+}
+
+// TestRepairsUpTo512Mutations pins the repair budget: a resident cover
+// is carried across a delta of exactly 512 mutations by repair, and a
+// delta one mutation longer is rebuilt off the request path.
+func TestRepairsUpTo512Mutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	n := openNode(t, testGraph(t, rng, 40))
+	warm(t, n, n.Store().Snapshot())
+	for _, tc := range []struct {
+		muts     int
+		repaired bool
+	}{{512, true}, {513, false}} {
+		// Re-weight the spanning path's edge (0, 1) back and forth: every
+		// weight stays inside the normalization bounds, so only the
+		// delta's length decides between repair and rebuild.
+		muts := make([]live.Mutation, tc.muts)
+		for i := range muts {
+			muts[i] = live.Mutation{Op: live.OpUpdateEdge, U: 0, V: 1, W: 0.3 + 0.1*float64(i%2)}
+		}
+		if _, _, err := n.Store().ApplyGroup(muts); err != nil {
+			t.Fatal(err)
+		}
+		snap := n.Store().Snapshot()
+		p, err := n.Params(snap, testGamma, testLambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []core.Method{core.CC, core.SACACC} {
+			before := n.IndexStats()
+			o := n.Index(snap, p, m)
+			if tc.repaired {
+				after := n.IndexStats()
+				if o == nil || after.IncrementalRepairs != before.IncrementalRepairs+1 ||
+					after.FullRebuilds != before.FullRebuilds || after.PendingRebuild {
+					t.Fatalf("%v across %d mutations: cover %v, stats %+v → %+v; want one repair and no rebuild",
+						m, tc.muts, o != nil, before, after)
+				}
+				continue
+			}
+			if o != nil {
+				t.Fatalf("%v across %d mutations: served a cover, want a background rebuild", m, tc.muts)
+			}
+			waitIndex(t, n, snap, p, m)
+			if after := n.IndexStats(); after.FullRebuilds != before.FullRebuilds+1 ||
+				after.IncrementalRepairs != before.IncrementalRepairs {
+				t.Fatalf("%v across %d mutations: stats %+v → %+v; want one rebuild and no repair",
+					m, tc.muts, before, after)
+			}
+		}
+	}
+}
+
+// TestCloseWaitsForRebuild pins Close against a background cover
+// rebuild: once Close returns, the rebuild has finished and persisted
+// its cover, and nothing is left to write into the index directory.
+func TestCloseWaitsForRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n, err := Open(Config{Graph: testGraph(t, rng, 1000), IndexPath: filepath.Join(t.TempDir(), "graph.bin")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := n.Store().Snapshot()
+	p, err := n.Params(snap, testGamma, testLambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Index(snap, p, core.SACACC) == nil {
+		t.Fatal("cold build returned no cover")
+	}
+	// An edge weight past the bounds rescales every G′ weight, so the
+	// cover cannot be repaired: the next lookup starts a rebuild.
+	epoch, err := n.Store().AddCollaboration(0, 2, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap = n.Store().Snapshot()
+	if p, err = n.Params(snap, testGamma, testLambda); err != nil {
+		t.Fatal(err)
+	}
+	if n.Index(snap, p, core.SACACC) != nil {
+		t.Fatal("out-of-bounds edge: served a cover, want a background rebuild")
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := n.IndexStats(); st.PendingRebuild || st.FullRebuilds != 2 {
+		t.Fatalf("after Close: stats %+v, want the rebuild finished", st)
+	}
+	if _, saved, err := readCover(n.indexes.path(indexKey(core.SACACC, testGamma))); err != nil || saved != epoch {
+		t.Fatalf("persisted cover at epoch %d (err %v), want the rebuild's epoch %d", saved, err, epoch)
 	}
 }

@@ -120,7 +120,7 @@ type PromoteResponse struct {
 func (s *Server) handleClusterPromote(w http.ResponseWriter, r *http.Request) {
 	var req PromoteRequest
 	if r.ContentLength != 0 {
-		if herr := decodeBody(r, &req); herr != nil {
+		if herr := decodeBody(w, r, &req); herr != nil {
 			writeError(w, herr)
 			return
 		}

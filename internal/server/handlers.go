@@ -33,6 +33,11 @@ const defaultMethod = core.SACACC
 // split client-side so a single call cannot monopolize the daemon.
 const maxBatchSize = 1024
 
+// maxBodyBytes bounds a request body, so an oversized one is refused
+// before it is decoded into memory. A full batch of maxBatchSize
+// requests may spend 4 KiB on each.
+const maxBodyBytes = 4 << 20
+
 // maxK and maxTrials bound per-request work. Unbounded values are a
 // denial-of-service vector: a huge k panics the top-k allocation in an
 // unrecovered worker goroutine (killing the process), and a huge
@@ -590,7 +595,7 @@ func (s *Server) teamResult(g expertgraph.GraphView, tm *team.Team, p *transform
 
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	var req DiscoverRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		writeError(w, herr)
 		return
 	}
@@ -622,7 +627,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		writeError(w, herr)
 		return
 	}
@@ -728,46 +733,34 @@ type LiveStats struct {
 	// re-anchoring on the leader's fold snapshot after falling below
 	// the retained journal window).
 	BaseAdoptions uint64 `json:"base_adoptions"`
-	// RebaseEpoch is the epoch the in-memory store was last re-based
-	// onto (by a fold while serving, or by adopting a compacted base at
-	// boot); LogLen is the resident mutation log since then — the
+	// LogLen is the resident mutation log since BaseEpoch — the
 	// quantity the background compactor keeps bounded, and the cost of
 	// the next per-epoch overlay construction.
-	RebaseEpoch uint64 `json:"rebase_epoch"`
-	LogLen      int    `json:"log_len"`
+	LogLen int `json:"log_len"`
 	// Compactor reports the background fold loop (zero value when it
 	// is disabled).
 	Compactor live.CompactorStats `json:"compactor"`
-	// CompactorRuns mirrors Compactor.Runs at the top level for
-	// dashboards scraping a flat field.
-	CompactorRuns uint64 `json:"compactor_runs"`
 }
 
 // StatsResponse is the body of GET /stats.
 type StatsResponse struct {
 	MetricsSnapshot
-	Cache CacheStats `json:"cache"`
-	// CacheEvictionsEpoch mirrors Cache.EpochEvictions at the top
-	// level for dashboards scraping a flat field.
-	CacheEvictionsEpoch uint64           `json:"cache_evictions_epoch"`
-	Live                LiveStats        `json:"live"`
-	Replication         ReplicationStats `json:"replication"`
+	Cache       CacheStats       `json:"cache"`
+	Live        LiveStats        `json:"live"`
+	Replication ReplicationStats `json:"replication"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Snapshot()
 	records, bytes := s.store.JournalStats()
-	cache := s.cache.Stats()
-	compactor := s.node.CompactorStats()
 	// Epoch, base epoch and log length all come from the one snapshot
 	// resolved above, so the payload is internally consistent even when
-	// a fold re-bases the store mid-handler (epoch ≥ rebase_epoch and
-	// log_len == epoch − rebase_epoch always hold within a response).
+	// a fold re-bases the store mid-handler (epoch ≥ base_epoch and
+	// log_len == epoch − base_epoch always hold within a response).
 	baseEpoch := snap.BaseEpoch()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		MetricsSnapshot:     s.metrics.snapshot(),
-		Cache:               cache,
-		CacheEvictionsEpoch: cache.EpochEvictions,
+		MetricsSnapshot: s.metrics.snapshot(),
+		Cache:           s.cache.Stats(),
 		Live: LiveStats{
 			Epoch:             snap.Epoch(),
 			BaseEpoch:         baseEpoch,
@@ -783,20 +776,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			OverlayRefolds:    s.store.Refolds(),
 			Compactions:       s.store.Compactions(),
 			BaseAdoptions:     s.store.BaseAdoptions(),
-			RebaseEpoch:       baseEpoch,
 			LogLen:            int(snap.Epoch() - baseEpoch),
-			Compactor:         compactor,
-			CompactorRuns:     compactor.Runs,
+			Compactor:         s.node.CompactorStats(),
 		},
 		Replication: s.replicationStats(),
 	})
 }
 
 // decodeBody parses a JSON request body, rejecting empty and malformed
-// bodies with 400.
-func decodeBody(r *http.Request, dst any) *httpError {
-	dec := json.NewDecoder(r.Body)
+// bodies with 400 and bodies past maxBodyBytes with 413.
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return errf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		}
 		return errf(http.StatusBadRequest, "invalid request body: %v", err)
 	}
 	return nil

@@ -65,7 +65,7 @@ type MutationResponse struct {
 
 func (s *Server) handleAddNode(w http.ResponseWriter, r *http.Request) {
 	var req AddNodeRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		s.metrics.recordMutation(string(live.OpAddNode), true)
 		writeError(w, herr)
 		return
@@ -83,7 +83,7 @@ func (s *Server) handleAddNode(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAddEdge(w http.ResponseWriter, r *http.Request) {
 	var req AddEdgeRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		s.metrics.recordMutation(string(live.OpAddEdge), true)
 		writeError(w, herr)
 		return
@@ -107,7 +107,7 @@ func (s *Server) handleUpdateNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UpdateNodeRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		s.metrics.recordMutation(string(live.OpUpdateNode), true)
 		writeError(w, herr)
 		return
@@ -125,7 +125,7 @@ func (s *Server) handleUpdateNode(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
 	var req RemoveEdgeRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		s.metrics.recordMutation(string(live.OpRemoveEdge), true)
 		writeError(w, herr)
 		return
@@ -161,7 +161,7 @@ func (s *Server) handleRemoveNode(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleUpdateEdge(w http.ResponseWriter, r *http.Request) {
 	var req UpdateEdgeRequest
-	if herr := decodeBody(r, &req); herr != nil {
+	if herr := decodeBody(w, r, &req); herr != nil {
 		s.metrics.recordMutation(string(live.OpUpdateEdge), true)
 		writeError(w, herr)
 		return

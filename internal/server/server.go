@@ -82,24 +82,12 @@ type Config struct {
 	CompactThreshold int
 	// CompactInterval enables the background compactor: a goroutine
 	// that polls at this (jittered) cadence and — when the journal has
-	// accumulated CompactThreshold records or CompactBytes bytes since
+	// accumulated CompactThreshold records (8192 when that is 0) since
 	// the last fold — runs Compact while serving, re-basing the
 	// in-memory store so resident log length and per-epoch overlay cost
 	// stay O(churn since the last fold) in a never-restarted daemon.
 	// 0 disables it. Requires JournalPath.
 	CompactInterval time.Duration
-	// CompactBytes is the background compactor's journal-size trigger
-	// (0 disables the byte trigger; with CompactThreshold also 0 the
-	// compactor falls back to a record default).
-	CompactBytes int64
-	// RepairBudget caps how many delta mutations an index is carried
-	// across by incremental repair before a full rebuild is preferred
-	// (default 512; negative disables incremental repair).
-	RepairBudget int
-	// CommitBatch caps how many queued mutations the store's group
-	// committer covers with one journal write + epoch publish
-	// (live.Config.CommitBatch); ≤ 0 keeps the default (256).
-	CommitBatch int
 	// FollowURL turns the server into a read replica of the leader at
 	// this base URL: the store is bootstrapped from the leader's
 	// replication log (base snapshot + journal tail), kept current by a
@@ -132,12 +120,6 @@ type Config struct {
 	// WarmIndex builds the default-γ G' index during New instead of on
 	// the first CA-CC/SA-CA-CC request.
 	WarmIndex bool
-	// Metrics supplies an external obs registry for the server's
-	// instruments (embedding several components under one exposition).
-	// Nil gives the server its own registry; either way GET /metrics
-	// serves it. Two servers must not share one registry — their
-	// gauge registrations would collide.
-	Metrics *obs.Registry
 	// NoObserve turns off the optional instrumentation: pipeline
 	// tracing (spans, X-Authteam-Trace, debug=trace), per-route HTTP
 	// histograms, and the live-store/index/replication instruments.
@@ -152,15 +134,15 @@ type Config struct {
 	// past it the probe answers 503 so a balancer sheds the stale
 	// replica. 0 means the default (4096); negative disables the check.
 	ReadyMaxLagEpochs int64
-	// ReadyMaxLag is the /readyz threshold on follower staleness in
-	// wall time (how long since the follower last confirmed catch-up).
-	// 0 means the default (60s); negative disables the check.
-	ReadyMaxLag time.Duration
 	// SlowQueryThreshold enables the sampled slow-query log: discovers
 	// slower than this are logged through slog with their pipeline
 	// spans, rate-limited to one line per second. 0 disables it.
 	SlowQueryThreshold time.Duration
 }
+
+// readyMaxLag is the /readyz threshold on follower staleness in wall
+// time: how long since the follower last confirmed catch-up.
+const readyMaxLag = 60 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -175,9 +157,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()
 	}
-	if c.RepairBudget == 0 {
-		c.RepairBudget = 512
-	}
 	if c.FollowPoll == 0 {
 		c.FollowPoll = 25 * time.Second
 	}
@@ -186,9 +165,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadyMaxLagEpochs == 0 {
 		c.ReadyMaxLagEpochs = 4096
-	}
-	if c.ReadyMaxLag == 0 {
-		c.ReadyMaxLag = 60 * time.Second
 	}
 	return c
 }
@@ -277,10 +253,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: config needs Graph, GraphPath or FollowURL")
 		}
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	// The optional instruments (store, indexes, replication, routes,
 	// tracing) register only when observing; the request counters that
 	// back /stats always do.
@@ -297,9 +270,7 @@ func New(cfg Config) (*Server, error) {
 		JournalPath:      cfg.JournalPath,
 		JournalSync:      cfg.JournalSync,
 		CompactThreshold: cfg.CompactThreshold,
-		CommitBatch:      cfg.CommitBatch,
 		CompactInterval:  cfg.CompactInterval,
-		CompactBytes:     cfg.CompactBytes,
 		OnFold: func(st live.CompactStats, took time.Duration, err error) {
 			if err != nil {
 				slog.Error("server: background compaction failed", "err", err)
@@ -311,11 +282,10 @@ func New(cfg Config) (*Server, error) {
 				"folded", st.Folded,
 				"in_flight", st.Remaining)
 		},
-		FollowURL:    cfg.FollowURL,
-		FollowPoll:   cfg.FollowPoll,
-		RepairBudget: cfg.RepairBudget,
-		IndexPath:    indexPath,
-		Metrics:      nodeReg,
+		FollowURL:  cfg.FollowURL,
+		FollowPoll: cfg.FollowPoll,
+		IndexPath:  indexPath,
+		Metrics:    nodeReg,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -530,9 +500,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		case s.cfg.ReadyMaxLagEpochs > 0 && st.Lag > uint64(s.cfg.ReadyMaxLagEpochs):
 			resp.Ready = false
 			resp.Reason = fmt.Sprintf("lag %d epochs exceeds threshold %d", st.Lag, s.cfg.ReadyMaxLagEpochs)
-		case s.cfg.ReadyMaxLag > 0 && st.LagSeconds > s.cfg.ReadyMaxLag.Seconds():
+		case st.LagSeconds > readyMaxLag.Seconds():
 			resp.Ready = false
-			resp.Reason = fmt.Sprintf("stale for %.1fs, threshold %s", st.LagSeconds, s.cfg.ReadyMaxLag)
+			resp.Reason = fmt.Sprintf("stale for %.1fs, threshold %s", st.LagSeconds, readyMaxLag)
 		}
 	case rolePromoting:
 		resp.Ready = false
@@ -549,8 +519,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Close stops the replication follower and background compactor (if
-// any) and releases the mutation journal. Serving (reads) keeps
-// working; further mutations fail with live.ErrClosed.
+// any), waits for background index rebuilds and releases the mutation
+// journal. Serving (reads) keeps working; further mutations fail with
+// live.ErrClosed. Closing twice is harmless.
 func (s *Server) Close() error { return s.node.Close() }
 
 // debugHandler builds the mux for the private debug listener

@@ -24,7 +24,7 @@ import (
 
 // builderGraph is a small handcrafted network: three skills, one
 // high-authority connector (dave), every node reachable.
-func builderGraph(t *testing.T) *expertgraph.Graph {
+func builderGraph(t testing.TB) *expertgraph.Graph {
 	t.Helper()
 	b := expertgraph.NewBuilder(5, 6)
 	alice := b.AddNode("alice", 12, "analytics")
@@ -54,6 +54,9 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out: the listener stops, then the
+	// server's background loops, before the test's TempDir is removed.
+	t.Cleanup(func() { s.Close() })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -265,6 +268,102 @@ func TestBatchErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", name, status, data)
 		}
 	}
+}
+
+// TestRequestBodyLimit pins the request body bound: a full batch padded
+// to exactly maxBodyBytes is answered, and one byte more is refused with
+// 413 before it is decoded (decoded, its maxBatchSize+1 items would draw
+// a 400 for their count instead).
+func TestRequestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	batch := func(items, size int) string {
+		item := `{"skills": ["analytics"]}`
+		body := `{"requests": [` + strings.Repeat(item+", ", items-1) + item + "]"
+		return body + strings.Repeat(" ", size-len(body)-1) + "}"
+	}
+	if status, data := postJSON(t, ts.URL+"/v1/discover/batch", batch(maxBatchSize, maxBodyBytes)); status != http.StatusOK {
+		t.Fatalf("full batch of %d bytes: status %d (%.200s)", maxBodyBytes, status, data)
+	}
+	status, data := postJSON(t, ts.URL+"/v1/discover/batch", batch(maxBatchSize+1, maxBodyBytes+1))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch: status %d, want 413 (%.200s)", status, data)
+	}
+}
+
+// FuzzDiscoverRequest feeds arbitrary bodies through request decoding
+// and normalization: a rejected body draws 400 (413 past the body
+// bound), and an accepted one becomes a query inside every bound the
+// search relies on.
+func FuzzDiscoverRequest(f *testing.F) {
+	for _, body := range []string{
+		"",
+		"{",
+		`{"method": "cc"}`,
+		`{"skills": ["analytics"]}`,
+		`{"skills": ["communities"]}`,
+		`{"skills": ["analytics", "matrix"]}`,
+		`{"skills": ["analytics", "communities"], "method": "pareto"}`,
+		`{"skills": ["analytics", "matrix"], "method": "ca-cc"}`,
+		`{"skills": ["analytics", "matrix", "analytics"], "method": "ca-cc", "k": 3}`,
+		`{"skills": ["analytics", "matrix", "communities"], "method": "sa-ca-cc", "k": 2}`,
+		`{"skills": ["matrix"], "method": "cc", "k": 2}`,
+		`{"skills": ["juggling"]}`,
+		`{"skills": [" "]}`,
+		`{"skills": ["analytics"], "method": "steiner"}`,
+		`{"skills": ["analytics"], "gamma": 1.5}`,
+		`{"skills": ["analytics"], "lambda": -0.1}`,
+		`{"skills": ["analytics"], "k": -1}`,
+		`{"skills": ["analytics"], "k": 4611686018427387904}`,
+		`{"skills": ["analytics"], "method": "random", "trials": -5}`,
+		`{"skills": ["analytics"], "method": "random", "trials": 2000000000}`,
+	} {
+		f.Add([]byte(body))
+	}
+	g := builderGraph(f)
+	s, err := New(Config{Graph: g})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/discover", bytes.NewReader(body))
+		var req DiscoverRequest
+		if herr := decodeBody(httptest.NewRecorder(), r, &req); herr != nil {
+			if herr.status != http.StatusBadRequest && herr.status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("undecodable body: status %d (%s)", herr.status, herr.msg)
+			}
+			return
+		}
+		q, herr := s.normalize(g, &req)
+		if herr != nil {
+			if herr.status != http.StatusBadRequest {
+				t.Fatalf("invalid request: status %d (%s)", herr.status, herr.msg)
+			}
+			return
+		}
+		if q.k < 1 || q.k > maxK || q.trials < 1 || q.trials > maxTrials {
+			t.Fatalf("accepted k=%d trials=%d", q.k, q.trials)
+		}
+		if !(q.gamma >= 0 && q.gamma <= 1 && q.lambda >= 0 && q.lambda <= 1) {
+			t.Fatalf("accepted γ=%v λ=%v", q.gamma, q.lambda)
+		}
+		asked := make(map[string]bool)
+		for _, name := range req.Skills {
+			asked[strings.TrimSpace(name)] = true
+		}
+		if len(q.project) != len(asked) || len(q.names) != len(q.project) {
+			t.Fatalf("project %v (names %q) for skills %q", q.project, q.names, req.Skills)
+		}
+		for i, id := range q.project {
+			if id < 0 || int(id) >= g.NumSkills() || (i > 0 && q.project[i-1] >= id) {
+				t.Fatalf("project %v is not an ascending list of skill IDs", q.project)
+			}
+			if q.names[i] != g.SkillName(id) || !asked[q.names[i]] {
+				t.Fatalf("skill %d named %q, asked for %q", id, q.names[i], req.Skills)
+			}
+		}
+	})
 }
 
 func TestHealthz(t *testing.T) {
